@@ -1,5 +1,5 @@
 // Figure 11 reproduction: impact of I/O intensiveness (expansion factor EF)
-// on average wait time, all six policies on Workload 1.
+// on average wait time, every greedy policy on Workload 1.
 #include "figure_common.h"
 
 int main() {

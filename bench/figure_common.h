@@ -58,7 +58,8 @@ inline double BenchDays() {
   return 30.0;
 }
 
-/// Run all six policies on evaluation month `index` (1..3).
+/// Run every greedy policy (AllPolicyNames()) on evaluation month `index`
+/// (1..3).
 inline std::vector<driver::PolicyRun> RunMonth(int index,
                                                util::ThreadPool& pool) {
   driver::Scenario scenario =

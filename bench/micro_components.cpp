@@ -25,6 +25,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/io_policy.h"
@@ -42,6 +44,7 @@
 #include "storage/storage_model.h"
 #include "util/atomic_file.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -197,6 +200,9 @@ BENCHMARK_CAPTURE(BM_SimulateOneDay, adaptive, "ADAPTIVE")
 
 using Clock = std::chrono::steady_clock;
 
+/// Repetitions behind the YEAR_SMOKE median.
+constexpr int kYearSmokeReps = 7;
+
 /// Best-of-`reps` wall time of `fn()` in seconds.
 template <typename Fn>
 double TimeBestOf(int reps, Fn&& fn) {
@@ -224,7 +230,80 @@ struct ReplayResult {
   std::uint64_t io_requests = 0;
   std::uint64_t cycles = 0;
   std::string digest;
+  /// Repeated replays (RunRepeatedReplay) only: `seconds` is then the
+  /// median of `reps` runs, `calib_seconds` the median of the calibration
+  /// loop timed around each run, and `normalized` the median of the
+  /// per-run seconds / calibration ratios — the host-independent figure the
+  /// year-smoke gate compares.
+  int reps = 0;
+  double calib_seconds = 0.0;
+  double normalized = 0.0;
 };
+
+/// Fixed host-speed calibration loop sharing no code with the simulator:
+/// dependent loads around a random cycle through 256 KB (cache latency),
+/// then hash-map insert/erase churn (allocator and hashing). Returns wall
+/// seconds; its work never changes, so replay seconds divided by it
+/// compare across hosts and across load phases of a shared host. The cycle
+/// stays cache-sized on purpose: over a 4 MB cycle the loop's speed
+/// depended on the process's earlier allocations (page backing), which
+/// moved the ratio by half between a short run and the full harness.
+double TimeCalibration() {
+  static const std::vector<std::uint32_t> next = [] {
+    constexpr std::uint32_t kSlots = 1u << 16;
+    std::vector<std::uint32_t> order(kSlots);
+    for (std::uint32_t i = 0; i < kSlots; ++i) order[i] = i;
+    util::Rng rng(2015);
+    for (std::uint32_t i = kSlots - 1; i > 0; --i) {
+      auto j = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(i)));
+      std::swap(order[i], order[j]);
+    }
+    std::vector<std::uint32_t> cycle(kSlots);
+    for (std::uint32_t i = 0; i < kSlots; ++i) {
+      cycle[order[i]] = order[(i + 1) % kSlots];
+    }
+    return cycle;
+  }();
+  auto t0 = Clock::now();
+  std::uint32_t at = 0;
+  for (int i = 0; i < (1 << 22); ++i) at = next[at];
+  std::unordered_map<std::uint64_t, std::uint64_t> churn;
+  constexpr std::uint64_t kKeys = 1 << 16;
+  constexpr std::uint64_t kLive = 1 << 10;
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    churn[i * 0x9E3779B97F4A7C15ull] = i;
+    if (i >= kLive) churn.erase((i - kLive) * 0x9E3779B97F4A7C15ull);
+  }
+  benchmark::DoNotOptimize(at);
+  benchmark::DoNotOptimize(churn.size());
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// "cpu model, N threads, compiler" of the host running the harness.
+std::string HostFingerprint() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(info, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    std::size_t colon = line.find(':');
+    if (colon != std::string::npos) cpu = line.substr(colon + 2);
+    break;
+  }
+  // The fingerprint is written into a JSON string.
+  std::replace(cpu.begin(), cpu.end(), '"', '\'');
+  std::replace(cpu.begin(), cpu.end(), '\\', '/');
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown compiler";
+#endif
+  return cpu + ", " + std::to_string(std::thread::hardware_concurrency()) +
+         " threads, " + compiler;
+}
 
 ComponentResult TimeComponent(const std::string& name, std::uint64_t ops,
                               int reps, const std::function<void()>& fn) {
@@ -417,6 +496,43 @@ ReplayResult RunReplayScenario(const std::string& name,
   return result;
 }
 
+/// Replay `scenario` `reps` times between calibration loops (each run is
+/// normalized by the mean of the loops just before and after it) and
+/// summarize with medians (see ReplayResult). Exits 1 if a
+/// repetition reproduces a different digest.
+ReplayResult RunRepeatedReplay(const std::string& name,
+                               const driver::Scenario& scenario,
+                               const char* policy, int reps) {
+  std::vector<double> seconds, calib, ratio;
+  ReplayResult result;
+  double calib_before = TimeCalibration();
+  for (int r = 0; r < reps; ++r) {
+    ReplayResult run = RunReplayScenario(name, scenario, policy);
+    double calib_after = TimeCalibration();
+    double calib_s = 0.5 * (calib_before + calib_after);
+    calib_before = calib_after;
+    if (r > 0 && run.digest != result.digest) {
+      std::fprintf(stderr, "replay %s: repetition %d digest %s != %s\n",
+                   name.c_str(), r, run.digest.c_str(),
+                   result.digest.c_str());
+      std::exit(1);
+    }
+    result = run;
+    seconds.push_back(run.seconds);
+    calib.push_back(calib_s);
+    ratio.push_back(run.seconds / calib_s);
+  }
+  result.reps = reps;
+  result.seconds = util::Summary(seconds).median();
+  result.calib_seconds = util::Summary(calib).median();
+  result.normalized = util::Summary(ratio).median();
+  std::printf("replay %-10s median %.4f s over %d runs, calibration %.4f s, "
+              "normalized %.3f\n",
+              name.c_str(), result.seconds, reps, result.calib_seconds,
+              result.normalized);
+  return result;
+}
+
 ReplayResult RunReplay(const char* policy, double days) {
   return RunReplayScenario(policy, driver::MakeEvaluationScenario(1, days),
                            policy);
@@ -488,9 +604,12 @@ int RunCoreHarness(const std::string& json_path, const std::string& baseline,
     replays.push_back(RunReplay(policy, replay_days));
   }
   // Year-scale throughput replays (BASE_LINE): YEAR_SMOKE is the 5-day cut
-  // CI gates on; YEAR is the full ~1M-job run (skippable for quick passes).
-  replays.push_back(RunReplayScenario(
-      "YEAR_SMOKE", driver::MakeYearScenario(5.0), "BASE_LINE"));
+  // CI gates on, timed as a calibrated median of repeated runs because one
+  // run is too short to time on a shared host; YEAR is the full ~1M-job run
+  // (skippable for quick passes).
+  replays.push_back(RunRepeatedReplay("YEAR_SMOKE",
+                                      driver::MakeYearScenario(5.0),
+                                      "BASE_LINE", kYearSmokeReps));
   if (!skip_year) {
     replays.push_back(RunReplayScenario(
         "YEAR", driver::MakeYearScenario(year_days), "BASE_LINE"));
@@ -526,6 +645,9 @@ int RunCoreHarness(const std::string& json_path, const std::string& baseline,
   char buf[512];
   std::snprintf(buf, sizeof(buf), "  \"replay_days\": %g,\n", replay_days);
   out << buf;
+  std::snprintf(buf, sizeof(buf), "  \"host\": \"%s\",\n",
+                HostFingerprint().c_str());
+  out << buf;
   out << "  \"components\": [\n";
   for (std::size_t i = 0; i < components.size(); ++i) {
     const ComponentResult& c = components[i];
@@ -541,11 +663,19 @@ int RunCoreHarness(const std::string& json_path, const std::string& baseline,
   out << "  \"replays\": [\n";
   for (std::size_t i = 0; i < replays.size(); ++i) {
     const ReplayResult& r = replays[i];
+    std::string repeated;
+    if (r.reps > 0) {
+      std::snprintf(buf, sizeof(buf),
+                    " \"reps\": %d, \"calib_seconds\": %.4f, "
+                    "\"normalized\": %.4f,",
+                    r.reps, r.calib_seconds, r.normalized);
+      repeated = buf;
+    }
     std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"seconds\": %.4f, \"jobs\": %zu, "
+                  "    {\"name\": \"%s\", \"seconds\": %.4f,%s \"jobs\": %zu, "
                   "\"events\": %llu, \"io_requests\": %llu, \"cycles\": %llu, "
                   "\"digest\": \"%s\"}%s\n",
-                  r.name.c_str(), r.seconds, r.jobs,
+                  r.name.c_str(), r.seconds, repeated.c_str(), r.jobs,
                   static_cast<unsigned long long>(r.events),
                   static_cast<unsigned long long>(r.io_requests),
                   static_cast<unsigned long long>(r.cycles),

@@ -1,4 +1,4 @@
-// Replay of a Mira-like evaluation month under all six I/O policies,
+// Replay of a Mira-like evaluation month under every greedy I/O policy,
 // printing the paper's three metrics (Figures 8-10 shape).
 //
 // Usage: mira_month [workload_index=1] [days=30]

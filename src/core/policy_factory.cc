@@ -15,7 +15,8 @@ namespace iosched::core {
 const std::vector<std::string>& AllPolicyNames() {
   static const std::vector<std::string> kNames = {
       "BASE_LINE", "FCFS", "MAX_UTIL", "MIN_INST_SLD", "MIN_AGGR_SLD",
-      "ADAPTIVE", "PREDICTIVE", "PREDICTIVE_ADAPTIVE"};
+      "ADAPTIVE", "PREDICTIVE", "PREDICTIVE_ADAPTIVE", "BASE_LINE_MAXMIN",
+      "SJF", "WSJF"};
   return kNames;
 }
 

@@ -13,13 +13,15 @@
 
 namespace iosched::core {
 
-/// Policy names exactly as the paper's figures label them, plus the
-/// prediction-aware extensions (which have no paper series).
+/// Every greedy policy the factory builds: the paper's figure names, then
+/// the extensions without a paper series (prediction-aware, max-min
+/// baseline, shortest-job orders).
 /// {"BASE_LINE", "FCFS", "MAX_UTIL", "MIN_INST_SLD", "MIN_AGGR_SLD",
-///  "ADAPTIVE", "PREDICTIVE", "PREDICTIVE_ADAPTIVE"}.
-/// The planning family is deliberately NOT in this list: sweeps, chaos
-/// runs, and bench figures that iterate "all policies" mean the paper's
-/// greedy family; planners are opted into by name.
+///  "ADAPTIVE", "PREDICTIVE", "PREDICTIVE_ADAPTIVE", "BASE_LINE_MAXMIN",
+///  "SJF", "WSJF"}.
+/// The planning family is deliberately NOT in this list: sweeps and bench
+/// figures that iterate "all policies" mean the greedy family; planners are
+/// opted into by name (the chaos soak adds them explicitly).
 const std::vector<std::string>& AllPolicyNames();
 
 /// The planning (two-phase, finite-horizon) policy family:

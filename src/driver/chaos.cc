@@ -147,7 +147,11 @@ ChaosSummary RunChaos(const ChaosOptions& options) {
     throw std::invalid_argument("RunChaos: schedules must be positive");
   }
   std::vector<std::string> policies = options.policies;
-  if (policies.empty()) policies = core::AllPolicyNames();
+  if (policies.empty()) {
+    policies = core::AllPolicyNames();
+    const std::vector<std::string>& planners = core::PlanningPolicyNames();
+    policies.insert(policies.end(), planners.begin(), planners.end());
+  }
   for (const std::string& policy : policies) {
     core::MakePolicy(policy);  // throws on unknown names before any run
   }

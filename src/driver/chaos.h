@@ -26,7 +26,8 @@ struct ChaosOptions {
   /// Reduced-scale scenario knobs (Small machine; see MakeTestScenario).
   double duration_days = 0.25;
   double jobs_per_day = 240.0;
-  /// Policies to exercise; empty = every registered policy.
+  /// Policies to exercise; empty = every policy the factory builds, the
+  /// planning family included.
   std::vector<std::string> policies;
   /// Re-run each cell with the same seed and require a bit-identical
   /// record digest.

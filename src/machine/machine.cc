@@ -1,5 +1,8 @@
 #include "machine/machine.h"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
 #include <stdexcept>
 
 namespace iosched::machine {
@@ -15,6 +18,26 @@ bool TestBit(const std::vector<std::uint64_t>& words, int bit) {
   return (words[static_cast<std::size_t>(bit >> 6)] >>
           (static_cast<unsigned>(bit) & 63u)) &
          1u;
+}
+
+/// Call `visit(start)` for each aligned candidate block of `midplanes`
+/// midplanes in allocation order (power-of-two runs inside each row, or
+/// groups of whole contiguous rows), stopping once `visit` returns true.
+template <typename Visit>
+void ForEachBlock(const MachineConfig& config, int midplanes, Visit&& visit) {
+  int row = config.midplanes_per_row;
+  if (midplanes <= row) {
+    for (int r = 0; r < config.rows; ++r) {
+      for (int off = 0; off + midplanes <= row; off += midplanes) {
+        if (visit(r * row + off)) return;
+      }
+    }
+    return;
+  }
+  int rows_needed = midplanes / row;
+  for (int r = 0; r + rows_needed <= config.rows; ++r) {
+    if (visit(r * row)) return;
+  }
 }
 }  // namespace
 
@@ -106,24 +129,52 @@ bool Machine::IsFaulted(int midplane) const {
 }
 
 int Machine::FindFreeRun(int midplanes) const {
-  int row = config_.midplanes_per_row;
-  if (midplanes <= row) {
-    // Aligned run inside any single row.
-    for (int r = 0; r < config_.rows; ++r) {
-      for (int off = 0; off + midplanes <= row; off += midplanes) {
-        int start = r * row + off;
-        if (RunFree(start, midplanes)) return start;
+  int found = -1;
+  ForEachBlock(config_, midplanes, [&](int start) {
+    if (!RunFree(start, midplanes)) return false;
+    found = start;
+    return true;
+  });
+  return found;
+}
+
+double Machine::EarliestFit(int requested_nodes,
+                            const std::vector<double>& busy_until) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (busy_until.size() <
+      static_cast<std::size_t>(config_.total_midplanes())) {
+    throw std::invalid_argument(
+        "Machine::EarliestFit: busy_until does not cover every midplane");
+  }
+  int mps = BlockMidplanesFor(requested_nodes);
+  if (mps < 0) return kInf;
+  double best = kInf;
+  ForEachBlock(config_, mps, [&](int start) {
+    // Latest release among the block's occupied midplanes; only occupied
+    // bits are read, and the scan stops once the block cannot beat `best`.
+    double block_free = -kInf;
+    int end = start + mps;
+    int w_first = start >> 6;
+    int w_last = (end - 1) >> 6;
+    for (int w = w_first; w <= w_last && block_free < best; ++w) {
+      int lo = (w == w_first) ? (start & 63) : 0;
+      int hi = (w == w_last) ? (end - (w << 6)) : 64;
+      std::uint64_t mask = WordMask(lo, hi);
+      auto i = static_cast<std::size_t>(w);
+      if (faulted_words_[i] & mask) {
+        block_free = kInf;
+        break;
+      }
+      for (std::uint64_t occ = occupied_words_[i] & mask;
+           occ != 0 && block_free < best; occ &= occ - 1) {
+        auto m = static_cast<std::size_t>((w << 6) + std::countr_zero(occ));
+        block_free = std::max(block_free, busy_until[m]);
       }
     }
-    return -1;
-  }
-  // Whole-row groups: contiguous rows.
-  int rows_needed = midplanes / row;
-  for (int r = 0; r + rows_needed <= config_.rows; ++r) {
-    int start = r * row;
-    if (RunFree(start, rows_needed * row)) return start;
-  }
-  return -1;
+    best = std::min(best, block_free);
+    return best == -kInf;  // a free block: nothing fits earlier
+  });
+  return best;
 }
 
 bool Machine::CanAllocate(int requested_nodes) const {

@@ -74,8 +74,19 @@ class Machine {
   std::optional<int> BlockNodesFor(int requested_nodes) const;
 
   /// True when a partition for `requested_nodes` could be carved out of the
-  /// current free midplanes (used by the backfill planner).
+  /// current free midplanes (the reference EarliestFit is tested against).
   bool CanAllocate(int requested_nodes) const;
+
+  /// Earliest time a partition for `requested_nodes` frees up, given the
+  /// time `busy_until[m]` at which each occupied midplane m is expected to
+  /// be released (entries of free midplanes are ignored; the vector covers
+  /// every midplane). Walks the same aligned candidate blocks as Allocate
+  /// and returns the minimum over blocks of the latest `busy_until` among a
+  /// block's occupied midplanes: -inf when a block is free now, +inf when
+  /// every block holds a faulted midplane or the request exceeds the
+  /// machine.
+  double EarliestFit(int requested_nodes,
+                     const std::vector<double>& busy_until) const;
 
   /// Allocate a partition for `requested_nodes`; nullopt when no aligned
   /// free block exists. Deterministic: lowest-numbered candidate wins.

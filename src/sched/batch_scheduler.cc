@@ -14,7 +14,8 @@ BatchScheduler::BatchScheduler(machine::Machine& machine, Options options)
     : machine_(machine),
       options_(options),
       wait_queue_(options.order),
-      probe_scratch_(machine),
+      busy_until_(
+          static_cast<std::size_t>(machine.config().total_midplanes()), 0.0),
       jitter_rng_(options.backoff_jitter_seed, /*stream=*/37) {
   if (options_.backoff_jitter_fraction < 0 ||
       options_.backoff_jitter_fraction >= 1.0) {
@@ -38,77 +39,44 @@ void BatchScheduler::Submit(const workload::Job& job) {
   wait_queue_.Insert(job, *block_nodes);
 }
 
+void BatchScheduler::MarkBusy(const machine::Partition& partition,
+                              sim::SimTime until) {
+  auto first = busy_until_.begin() + partition.first_midplane;
+  std::fill(first, first + partition.midplane_count, until);
+}
+
 sim::SimTime BatchScheduler::ShadowTime(const workload::Job& head,
                                         sim::SimTime now) const {
-  if (machine_.CanAllocate(head.nodes)) return now;
-
-  // Release running partitions in predicted-end order until the head fits.
-  std::vector<const RunningJob*> by_end;
-  by_end.reserve(running_.size());
-  for (const auto& [id, rj] : running_) by_end.push_back(&rj);
-  std::sort(by_end.begin(), by_end.end(),
-            [now](const RunningJob* a, const RunningJob* b) {
-              double ea = std::max(a->predicted_end, now);
-              double eb = std::max(b->predicted_end, now);
-              if (ea != eb) return ea < eb;
-              return a->job->id < b->job->id;
-            });
-  // Fitting is monotone in the released prefix (releases only free space),
-  // so binary-search the smallest prefix whose release lets the head in.
-  // Releases are a few word-ops each; the allocator probe (CanAllocate)
-  // scans the whole machine, so probing O(log R) prefixes instead of every
-  // one is the win. The result is identical to the linear scan's.
-  auto fits_after = [&](std::size_t prefix) {
-    // Copy-assign into the standing scratch machine: reuses its buffers
-    // instead of heap-allocating a snapshot per probe.
-    probe_scratch_ = machine_;
-    for (std::size_t k = 0; k < prefix; ++k) {
-      probe_scratch_.Release(by_end[k]->partition);
-    }
-    return probe_scratch_.CanAllocate(head.nodes);
-  };
-  std::size_t lo = 1, hi = by_end.size();
-  if (hi == 0 || !fits_after(hi)) {
-    // With everything released the head must fit (size was validated at
-    // submit); fall back to the latest predicted end.
-    sim::SimTime latest = now;
-    for (const RunningJob* rj : by_end) {
-      latest = std::max(latest, rj->predicted_end);
-    }
-    return latest;
+  // Releasing running jobs in predicted-end order, the head first fits once
+  // some candidate block has all its occupants released: at the minimum
+  // over blocks of the latest predicted end inside the block, which is
+  // exactly what EarliestFit reads off the profile. A job that overran its
+  // estimate is treated as ending "now": the real Cobalt would see the same
+  // stale estimate.
+  sim::SimTime fit = machine_.EarliestFit(head.nodes, busy_until_);
+  if (fit != sim::kTimeInfinity) return std::max(fit, now);
+  // Every candidate block holds a faulted midplane, so no release lets the
+  // head in; fall back to the latest predicted end.
+  sim::SimTime latest = now;
+  for (const auto& [id, rj] : running_) {
+    latest = std::max(latest, rj.predicted_end);
   }
-  while (lo < hi) {
-    std::size_t mid = lo + (hi - lo) / 2;
-    if (fits_after(mid)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  // A job that overran its estimate is treated as ending "now": the real
-  // Cobalt would see the same stale estimate.
-  return std::max(by_end[lo - 1]->predicted_end, now);
+  return latest;
 }
 
 bool BatchScheduler::BackfillOk(const workload::Job& candidate,
-                                const machine::Partition& candidate_partition,
                                 const workload::Job& head, sim::SimTime now,
                                 sim::SimTime shadow) const {
-  (void)candidate_partition;
   // Finishes before the reservation needs the space.
   if (now + candidate.requested_walltime <= shadow + util::kTimeEpsilon) {
     return true;
   }
   // Otherwise the head must still fit at shadow time with the candidate's
-  // partition occupied. machine_ already contains the candidate (the caller
-  // allocated it tentatively), so replay the releases up to `shadow`.
-  probe_scratch_ = machine_;
-  for (const auto& [id, rj] : running_) {
-    if (std::max(rj.predicted_end, now) <= shadow + util::kTimeEpsilon) {
-      probe_scratch_.Release(rj.partition);
-    }
-  }
-  return probe_scratch_.CanAllocate(head.nodes);
+  // partition occupied. The candidate is allocated and marked busy until
+  // now + walltime, past the shadow time here, so its midplanes block every
+  // candidate block they touch.
+  return machine_.EarliestFit(head.nodes, busy_until_) <=
+         shadow + util::kTimeEpsilon;
 }
 
 std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
@@ -167,9 +135,10 @@ std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
     if (blocked_head == nullptr) {
       auto partition = machine_.Allocate(job->nodes);
       if (partition) {
+        sim::SimTime end = now + job->requested_walltime;
+        MarkBusy(*partition, end);
         decisions.push_back(StartDecision{job, *partition});
-        running_.emplace(job->id, RunningJob{job, *partition, now,
-                                             now + job->requested_walltime});
+        running_.emplace(job->id, RunningJob{job, *partition, now, end});
         continue;
       }
       // First blocked job: it owns the reservation.
@@ -186,7 +155,11 @@ std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
       min_failed_block_nodes = block_nodes;
       continue;
     }
-    if (BackfillOk(*job, *partition, *blocked_head, now, shadow)) {
+    // The tentative allocation counts in the profile; a rejected one is
+    // released and its stale entries are masked again.
+    sim::SimTime end = now + job->requested_walltime;
+    MarkBusy(*partition, end);
+    if (BackfillOk(*job, *blocked_head, now, shadow)) {
       // Geometry says the backfill cannot delay the reservation; an
       // installed admission hook (reservation-aware planning policies) may
       // still veto it on projected storage pressure. A veto is not a
@@ -198,8 +171,7 @@ std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
       }
       if (hub_ != nullptr) hub_->backfill_starts->Inc();
       decisions.push_back(StartDecision{job, *partition});
-      running_.emplace(job->id, RunningJob{job, *partition, now,
-                                           now + job->requested_walltime});
+      running_.emplace(job->id, RunningJob{job, *partition, now, end});
     } else {
       machine_.Release(*partition);
     }
@@ -370,6 +342,14 @@ void BatchScheduler::RestoreState(
     run.partition.nodes = static_cast<int>(r.I64());
     run.start_time = r.F64();
     run.predicted_end = r.F64();
+    if (run.partition.first_midplane < 0 || run.partition.midplane_count <= 0 ||
+        run.partition.first_midplane + run.partition.midplane_count >
+            static_cast<int>(busy_until_.size())) {
+      throw std::runtime_error(
+          "BatchScheduler::RestoreState: job " + std::to_string(id) +
+          " holds a partition outside the machine");
+    }
+    MarkBusy(run.partition, run.predicted_end);
     running_.emplace(id, run);
   }
   std::uint32_t retried = r.U32();

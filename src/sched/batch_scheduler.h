@@ -149,19 +149,28 @@ class BatchScheduler {
       const std::function<const workload::Job*(workload::JobId)>& resolve);
 
  private:
-  /// Earliest time the head job's block could be allocated, assuming
-  /// running jobs end at their predicted ends; also reports the machine
-  /// state snapshot at that time for the backfill feasibility test.
+  /// Test-only peer (tests/sched/shadow_profile_test.cc) that drives the
+  /// EASY probe directly on hand-built machine states.
+  friend struct ShadowProbePeer;
+
+  /// EASY reservation: the earliest time the head job's block could be
+  /// allocated, assuming running jobs end at their predicted ends (an
+  /// overrun job counts as ending `now`). Read off the availability
+  /// profile; when every candidate block holds a faulted midplane, falls
+  /// back to the latest predicted end.
   sim::SimTime ShadowTime(const workload::Job& head, sim::SimTime now) const;
 
   /// True if starting `candidate` now cannot delay the reserved head job:
   /// either it finishes (per its walltime) before the shadow time, or the
-  /// head job's block still fits with the candidate's partition occupied
-  /// at shadow time.
-  bool BackfillOk(const workload::Job& candidate,
-                  const machine::Partition& candidate_partition,
-                  const workload::Job& head, sim::SimTime now,
-                  sim::SimTime shadow) const;
+  /// head job's block still frees up by the shadow time with the
+  /// candidate's tentatively allocated partition (already marked in the
+  /// profile) held.
+  bool BackfillOk(const workload::Job& candidate, const workload::Job& head,
+                  sim::SimTime now, sim::SimTime shadow) const;
+
+  /// Record in the availability profile that `partition` stays busy until
+  /// `until`.
+  void MarkBusy(const machine::Partition& partition, sim::SimTime until);
 
   /// One eligible queue entry in service order, with the allocation block
   /// size cached so the backfill loop never re-derives machine geometry.
@@ -181,10 +190,12 @@ class BatchScheduler {
   std::vector<const workload::Job*> queue_;
   WaitQueue wait_queue_;
   std::unordered_map<workload::JobId, RunningJob> running_;
-  /// Reusable machine snapshot for ShadowTime/BackfillOk probes; copy-assign
-  /// reuses its buffers instead of heap-allocating a fresh Machine per
-  /// probe (millions of probes per replay).
-  mutable machine::Machine probe_scratch_;
+  /// Availability profile: per midplane, the predicted end of the job last
+  /// allocated there (start + requested walltime). Entries of free
+  /// midplanes are stale and ignored — Machine::EarliestFit masks them with
+  /// the occupancy word — so a release needs no update. Not serialized:
+  /// RestoreState rebuilds it from the running set.
+  std::vector<double> busy_until_;
   /// Per-pass scratch for the ordered eligible candidates.
   std::vector<Candidate> candidates_;
   /// Overflow-safe clamped exponential backoff for retry attempt `retries`

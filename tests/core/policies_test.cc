@@ -372,6 +372,22 @@ TEST(PolicyFactory, BuildsExtensionPolicies) {
   EXPECT_EQ(MakePolicy("BASE_LINE_MAXMIN")->name(), "BASE_LINE_MAXMIN");
 }
 
+// Help text, sweeps and the chaos soak iterate the name lists, so every
+// policy the factory builds must appear in exactly one of them.
+TEST(PolicyFactory, ListsEveryBuildablePolicy) {
+  std::vector<std::string> listed = AllPolicyNames();
+  listed.insert(listed.end(), PlanningPolicyNames().begin(),
+                PlanningPolicyNames().end());
+  for (const char* alias :
+       {"baseline", "maxmin", "cons_fcfs", "cons_maxutil", "cons_mininstsld",
+        "cons_minaggrsld", "adaptive", "cons_predictive",
+        "predictive-adaptive", "sjf", "smith", "periodic", "planbf"}) {
+    std::string name = MakePolicy(alias)->name();
+    EXPECT_EQ(std::count(listed.begin(), listed.end(), name), 1) << alias;
+  }
+  EXPECT_EQ(listed.size(), 13u);
+}
+
 TEST(PolicyFactory, UnknownThrows) {
   EXPECT_THROW(MakePolicy("round_robin"), std::invalid_argument);
   EXPECT_THROW(MakePolicy(""), std::invalid_argument);

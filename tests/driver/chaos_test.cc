@@ -24,7 +24,8 @@ TEST(ChaosTest, SmallSoakIsCleanAndCoversEveryCell) {
   ChaosOptions options = SmallSoak();
   ChaosSummary summary = RunChaos(options);
   EXPECT_EQ(summary.cells.size(),
-            2 * core::AllPolicyNames().size());
+            2 * (core::AllPolicyNames().size() +
+                 core::PlanningPolicyNames().size()));
   EXPECT_EQ(summary.failures, 0);
   EXPECT_TRUE(summary.ok());
   for (const ChaosCell& cell : summary.cells) {

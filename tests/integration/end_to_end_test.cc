@@ -9,55 +9,24 @@
 #include "core/policy_factory.h"
 #include "core/simulation.h"
 #include "driver/scenario.h"
+#include "policy_sweep.h"
 #include "util/units.h"
 #include "workload/workload.h"
 
 namespace iosched {
 namespace {
 
-struct Case {
-  std::string policy;
-  std::uint64_t seed;
-};
-
-class PolicyWorkloadSweep : public ::testing::TestWithParam<Case> {};
+class PolicyWorkloadSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(PolicyWorkloadSweep, GlobalInvariantsHold) {
-  const Case& c = GetParam();
-  driver::Scenario scenario =
-      driver::MakeTestScenario(c.seed, /*duration_days=*/1.0,
-                               /*jobs_per_day=*/220.0);
-  core::SimulationConfig config = scenario.config;
-  config.policy = c.policy;
-  core::SimulationResult result =
-      core::RunSimulation(config, scenario.jobs);
-
-  // Every submitted job completes exactly once.
-  ASSERT_EQ(result.records.size(), scenario.jobs.size());
-  std::map<workload::JobId, const workload::Job*> by_id;
-  for (const workload::Job& j : scenario.jobs) by_id[j.id] = &j;
-  for (const metrics::JobRecord& r : result.records) {
-    ASSERT_TRUE(by_id.count(r.id));
-    const workload::Job& j = *by_id[r.id];
-    // Causality.
-    EXPECT_GE(r.start_time, r.submit_time - 1e-9);
-    EXPECT_GT(r.end_time, r.start_time);
-    // Physics: runtime at least the uncongested runtime; I/O never faster
-    // than the dedicated-link bound.
-    EXPECT_GE(r.Runtime() + 1e-6, r.uncongested_runtime);
-    EXPECT_GE(r.io_time_actual + 1e-6, r.io_time_uncongested);
-    // Partition granted covers the request.
-    EXPECT_GE(r.allocated_nodes, j.nodes);
-  }
-  // Utilization is a sane fraction.
-  EXPECT_GE(result.report.utilization, 0.0);
-  EXPECT_LE(result.report.utilization, 1.0 + 1e-9);
-  EXPECT_GT(result.events_processed, scenario.jobs.size());
+  ExpectGlobalInvariants(GetParam());
 }
 
-std::vector<Case> AllCases() {
-  std::vector<Case> cases;
-  for (const std::string& p : core::AllPolicyNames()) {
+// Only the first eight policies, so these test names stay stable (see
+// policy_sweep.h); more_policies_sweep_test.cc covers the rest.
+std::vector<SweepCase> AllCases() {
+  std::vector<SweepCase> cases;
+  for (const std::string& p : FirstSweptPolicies()) {
     for (std::uint64_t seed : {11ull, 97ull}) {
       cases.push_back({p, seed});
     }
@@ -67,7 +36,7 @@ std::vector<Case> AllCases() {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, PolicyWorkloadSweep, ::testing::ValuesIn(AllCases()),
-    [](const ::testing::TestParamInfo<Case>& info) {
+    [](const ::testing::TestParamInfo<SweepCase>& info) {
       return info.param.policy + "_seed" + std::to_string(info.param.seed);
     });
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.h"
@@ -210,6 +212,129 @@ TEST_P(MachineChurn, InvariantsHoldUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MachineChurn,
                          ::testing::Values(1ull, 7ull, 2024ull, 31337ull));
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Allocate single-midplane partitions until `m` is full; returns them in
+/// midplane order.
+std::vector<Partition> FillWithSingles(Machine& m) {
+  std::vector<Partition> held;
+  while (auto p = m.Allocate(m.config().nodes_per_midplane)) {
+    held.push_back(*p);
+  }
+  return held;
+}
+
+TEST(MachineEarliestFit, EmptyMachineFitsNow) {
+  Machine m(MachineConfig::Mira());
+  std::vector<double> busy(96, 1e9);  // ignored: every midplane is free
+  for (int nodes : {1, 512, 4096, 16384, 32768, 49152}) {
+    EXPECT_EQ(m.EarliestFit(nodes, busy), -kInf) << nodes;
+  }
+  EXPECT_EQ(m.EarliestFit(49153, busy), kInf);  // larger than the machine
+  EXPECT_THROW(m.EarliestFit(512, std::vector<double>(95, 0.0)),
+               std::invalid_argument);
+}
+
+TEST(MachineEarliestFit, FaultedRowExcludesItsBlocks) {
+  Machine m(MachineConfig::Mira());
+  std::vector<Partition> held = FillWithSingles(m);
+  std::vector<double> busy(96);
+  for (int i = 0; i < 96; ++i) busy[static_cast<std::size_t>(i)] = i;
+  // Row 0 holds the earliest releases, but a fully faulted row never fits.
+  for (int i = 0; i < 32; ++i) m.SetFaulted(i, true);
+  EXPECT_EQ(m.EarliestFit(512, busy), 32.0);
+  EXPECT_EQ(m.EarliestFit(8192, busy), 47.0);    // first 16-run of row 1
+  EXPECT_EQ(m.EarliestFit(16384, busy), 63.0);   // row 1
+  EXPECT_EQ(m.EarliestFit(32768, busy), 95.0);   // rows 1-2 only
+  EXPECT_EQ(m.EarliestFit(49152, busy), kInf);   // every block faulted
+  // Releasing row 0 does not help: its midplanes stay faulted.
+  for (int i = 0; i < 32; ++i) m.Release(held[static_cast<std::size_t>(i)]);
+  EXPECT_EQ(m.EarliestFit(512, busy), 32.0);
+  // A single fault inside row 2 leaves the rows 0-1 and 1-2 blocks to
+  // compete once row 0 is repaired.
+  for (int i = 0; i < 32; ++i) m.SetFaulted(i, false);
+  m.SetFaulted(70, true);
+  EXPECT_EQ(m.EarliestFit(512, busy), -kInf);
+  EXPECT_EQ(m.EarliestFit(32768, busy), 63.0);
+  EXPECT_EQ(m.EarliestFit(49152, busy), kInf);
+}
+
+TEST(MachineEarliestFit, MultiRowBlocksTakeTheMaxAcrossRows) {
+  Machine m(MachineConfig::Mira());
+  std::vector<Partition> held = FillWithSingles(m);
+  // Keep one busy midplane per row: 5 (row 0), 40 (row 1), 70 (row 2).
+  for (const Partition& p : held) {
+    int mp = p.first_midplane;
+    if (mp != 5 && mp != 40 && mp != 70) m.Release(p);
+  }
+  std::vector<double> busy(96, 0.0);
+  busy[5] = 100;
+  busy[40] = 50;
+  busy[70] = 200;
+  EXPECT_EQ(m.EarliestFit(512, busy), -kInf);
+  EXPECT_EQ(m.EarliestFit(16384, busy), 50.0);   // row 1 alone
+  EXPECT_EQ(m.EarliestFit(32768, busy), 100.0);  // rows 0-1 beat rows 1-2
+  EXPECT_EQ(m.EarliestFit(49152, busy), 200.0);  // all three rows
+  // Intrepid: 5 rows of 16, so multi-row blocks straddle a 64-bit word.
+  Machine intrepid(MachineConfig::Intrepid());
+  std::vector<Partition> singles = FillWithSingles(intrepid);
+  ASSERT_EQ(singles.size(), 80u);
+  std::vector<double> ib(80);
+  for (int i = 0; i < 80; ++i) ib[static_cast<std::size_t>(i)] = 80 - i;
+  EXPECT_EQ(intrepid.EarliestFit(3 * 16 * 512, ib), 48.0);  // rows 2-4
+  EXPECT_EQ(intrepid.EarliestFit(5 * 16 * 512, ib), 80.0);
+}
+
+/// EarliestFit(head) <= t exactly when the head fits after releasing every
+/// partition expected free by t, over a MachineChurn-style random sequence
+/// with faults.
+TEST_P(MachineChurn, EarliestFitAgreesWithCanAllocate) {
+  Machine m(MachineConfig::Mira());
+  util::Rng rng(GetParam());
+  std::vector<Partition> held;
+  std::vector<double> ends;  // parallel to `held`
+  std::vector<double> busy(96, 0.0);
+  const std::vector<int> sizes = {512, 1024, 2048, 4096, 8192, 16384, 32768};
+  const std::vector<int> heads = {512,  2048,  8192, 16384,
+                                  20000, 32768, 49152};
+  for (int step = 0; step < 600; ++step) {
+    if (held.empty() || rng.Bernoulli(0.6)) {
+      int req = sizes[rng.WeightedIndex(
+          std::vector<double>{4, 3, 2, 2, 1, 0.5, 0.2})];
+      if (auto p = m.Allocate(req)) {
+        // A coarse grid of end times makes ties common.
+        double end = static_cast<double>(rng.UniformInt(1, 40)) * 100.0;
+        for (int i = 0; i < p->midplane_count; ++i) {
+          busy[static_cast<std::size_t>(p->first_midplane + i)] = end;
+        }
+        held.push_back(*p);
+        ends.push_back(end);
+      }
+    } else {
+      auto pick = static_cast<std::size_t>(rng.UniformInt(0, held.size() - 1));
+      m.Release(held[pick]);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+      ends.erase(ends.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    if (rng.Bernoulli(0.05)) {
+      int mp = static_cast<int>(rng.UniformInt(0, 95));
+      m.SetFaulted(mp, !m.IsFaulted(mp));
+    }
+    int head = heads[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(heads.size()) - 1))];
+    double fit = m.EarliestFit(head, busy);
+    ASSERT_EQ(fit == -kInf, m.CanAllocate(head)) << "step " << step;
+    for (double t : {50.0, 1000.0, 2050.0, 3000.0, 4000.0}) {
+      Machine probe = m;
+      for (std::size_t k = 0; k < held.size(); ++k) {
+        if (ends[k] <= t) probe.Release(held[k]);
+      }
+      ASSERT_EQ(fit <= t, probe.CanAllocate(head))
+          << "step " << step << " head " << head << " t " << t;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace iosched::machine
