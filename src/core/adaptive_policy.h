@@ -35,12 +35,13 @@ class AdaptivePolicy final : public GreedyAdapter {
   /// off or never signalling, behavior is grant-for-grant ADAPTIVE.
   ///
   /// Tier / prediction / flush-backlog awareness all read the per-cycle
-  /// CycleInputs (GreedyAdapter::inputs()): while the burst-buffer drain
-  /// backlog is deep (above kBacklogDeferralFraction of capacity) or the
-  /// parked-flush backlog holds kFlushBacklogDeferralSeconds of
-  /// full-bandwidth work, the over-admission branch is suspended and the
-  /// policy degrades to Cons-FCFS — see DESIGN.md §9. All no-ops when the
-  /// respective feature is off.
+  /// CycleInputs (GreedyAdapter::inputs(), or DeferFlush's argument):
+  /// while the burst-buffer drain backlog is deep (above
+  /// kBacklogDeferralFraction of capacity) or the parked-flush backlog
+  /// holds kFlushBacklogDeferralSeconds of full-bandwidth work, the
+  /// over-admission branch is suspended and the policy degrades to
+  /// Cons-FCFS — see DESIGN.md §9. All no-ops when the respective feature
+  /// is off.
   explicit AdaptivePolicy(bool predictive = false) : predictive_(predictive) {}
 
   const std::string& name() const override;
@@ -52,8 +53,9 @@ class AdaptivePolicy final : public GreedyAdapter {
   /// Hold a ready flush while the direct channel is saturated or the
   /// burst-buffer drain is behind; release as soon as there is headroom
   /// (the scheduler force-releases at the deadline regardless).
-  bool DeferFlush(const FlushView& flush, double active_demand_gbps,
-                  double max_bandwidth_gbps, sim::SimTime now) override;
+  bool DeferFlush(const FlushView& flush, const CycleInputs& inputs,
+                  double active_demand_gbps, double max_bandwidth_gbps,
+                  sim::SimTime now) override;
 
   /// Backlog fraction of BB capacity above which over-admission pauses.
   static constexpr double kBacklogDeferralFraction = 0.5;

@@ -289,13 +289,18 @@ class IoPolicy {
   /// Should `flush` stay parked? Queried when a checkpoint flush becomes
   /// ready for the direct path and again every scheduling cycle while it
   /// waits; the scheduler releases it as soon as this returns false (and
-  /// unconditionally at the deadline). `active_demand_gbps` is the summed
-  /// full-rate demand of the in-flight direct transfers. Must be
-  /// deterministic. The default never defers, so flush phases behave as
-  /// ordinary I/O under policies that do not opt in.
-  virtual bool DeferFlush(const FlushView& flush, double active_demand_gbps,
-                          double max_bandwidth_gbps, sim::SimTime now) {
+  /// unconditionally at the deadline). `inputs` is the scheduler's
+  /// CycleInputs as of the last cycle (all-default before the first one);
+  /// between cycles that is a stale snapshot, which the scheduler
+  /// checkpoints so a resumed run answers exactly as the uninterrupted one.
+  /// `active_demand_gbps` is the summed full-rate demand of the in-flight
+  /// direct transfers. Must be deterministic. The default never defers, so
+  /// flush phases behave as ordinary I/O under policies that do not opt in.
+  virtual bool DeferFlush(const FlushView& flush, const CycleInputs& inputs,
+                          double active_demand_gbps, double max_bandwidth_gbps,
+                          sim::SimTime now) {
     (void)flush;
+    (void)inputs;
     (void)active_demand_gbps;
     (void)max_bandwidth_gbps;
     (void)now;
@@ -341,10 +346,10 @@ class GreedyAdapter : public IoPolicy {
                                         sim::SimTime now) = 0;
 
  protected:
-  /// Current-cycle observations (all-default before the first Plan/Execute,
-  /// matching the old observer-member defaults). Valid between cycles too —
-  /// DeferFlush is queried from SubmitRequest and reads the previous
-  /// cycle's snapshot, exactly as the copied members did.
+  /// Current-cycle observations, latched by Plan/Execute (all-default
+  /// before the first call, matching the old observer-member defaults).
+  /// DeferFlush, which runs between cycles, gets the snapshot as an
+  /// argument instead.
   const CycleInputs& inputs() const {
     return inputs_ != nullptr ? *inputs_ : NoInputs();
   }

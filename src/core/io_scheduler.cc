@@ -117,7 +117,7 @@ void IoScheduler::SubmitRequest(workload::JobId id, double volume_gb,
       burst_buffer_->Absorb(id, volume_gb);
       if (hub_ != nullptr) hub_->bb_absorbed_requests->Inc();
       sim::EventId event =
-          simulator_.ScheduleAfter(duration, AbsorbedAction(id, duration));
+          simulator_.ScheduleAfter(duration, AbsorbedAction(id));
       // Durability threshold: the FIFO drain must move everything queued up
       // to and including this request before its bytes are on the PFS.
       double durable_gb =
@@ -143,7 +143,8 @@ void IoScheduler::SubmitRequest(workload::JobId id, double volume_gb,
     }
     FlushView view{id, volume_gb, full_rate, now,
                    now + flush_config_.max_defer_seconds};
-    if (policy_->DeferFlush(view, storage_.TotalDemand(), usable, now)) {
+    if (policy_->DeferFlush(view, cycle_inputs_, storage_.TotalDemand(),
+                            usable, now)) {
       ParkFlush(id, volume_gb, now);
       Reschedule(now);
       return;
@@ -209,7 +210,7 @@ void IoScheduler::ReleaseDeferredFlushes(sim::SimTime now) {
       FlushView view{id, df.volume_gb,
                      ctx.job->FullIoRate(node_bandwidth_gbps_),
                      df.submit_time, df.fire_time};
-      if (!policy_->DeferFlush(view, demand, usable, now)) {
+      if (!policy_->DeferFlush(view, cycle_inputs_, demand, usable, now)) {
         release_id = id;
         release_volume = df.volume_gb;
         found = true;
@@ -611,18 +612,22 @@ void IoScheduler::ConfigurePlanning(const PlanConfig& config) {
   plan_config_ = config;
 }
 
-std::function<void()> IoScheduler::AbsorbedAction(workload::JobId id,
-                                                 double duration) {
-  return [this, id, duration] {
+std::function<void()> IoScheduler::AbsorbedAction(workload::JobId id) {
+  return [this, id] {
+    // Every path that drops the entry also cancels this event.
+    auto it = absorbed_events_.find(id);
+    if (it == absorbed_events_.end()) {
+      throw std::logic_error(
+          "IoScheduler: absorbed completion without a pending entry for job " +
+          std::to_string(id));
+    }
     // A buffer-absorbed request runs contention-free at the absorb-tier
     // rate: its completed uncongested time equals its actual time.
     IoCompletionInfo info;
     info.absorbed = true;
-    auto it = absorbed_events_.find(id);
-    if (it != absorbed_events_.end()) {
-      info.durable_drain_gb = it->second.durable_gb;
-      absorbed_events_.erase(it);
-    }
+    info.durable_drain_gb = it->second.durable_gb;
+    double duration = it->second.duration;
+    absorbed_events_.erase(it);
     JobContext& ctx = MustFind(jobs_, id);
     ctx.completed_io_seconds += duration;
     ctx.last_io_end_time = simulator_.Now();
@@ -837,6 +842,67 @@ void IoScheduler::OnDrainFactorChange(double factor, sim::SimTime now) {
   Reschedule(now);
 }
 
+namespace {
+
+// The last cycle's CycleInputs snapshot. DeferFlush reads it between
+// cycles, and it cannot be recomputed from the restored state (the buffer
+// has moved on since the cycle that took it), so it is checkpointed whole.
+void SaveCycleInputs(ckpt::Writer& w, const CycleInputs& in) {
+  const TierState& t = in.tiers;
+  w.Bool(t.bb_enabled);
+  w.F64(t.bb_capacity_gb);
+  w.F64(t.bb_queued_gb);
+  w.F64(t.drain_gbps);
+  w.Bool(t.bb_congested);
+  w.Bool(t.bb_faulted);
+  w.F64(t.drain_factor);
+  const PredictionState& p = in.prediction;
+  w.Bool(p.enabled);
+  w.F64(p.horizon_seconds);
+  w.U32(static_cast<std::uint32_t>(p.upcoming.size()));
+  for (const PredictedBurst& b : p.upcoming) {
+    w.I64(b.id);
+    w.F64(b.eta_seconds);
+    w.F64(b.rate_gbps);
+    w.F64(b.volume_gb);
+    w.U64(b.support);
+  }
+  w.F64(p.imminent_rate_gbps);
+  w.F64(p.imminent_volume_gb);
+  w.F64(in.flush_backlog_gb);
+  w.U64(in.flush_backlog_count);
+}
+
+CycleInputs RestoreCycleInputs(ckpt::Reader& r) {
+  CycleInputs in;
+  TierState& t = in.tiers;
+  t.bb_enabled = r.Bool();
+  t.bb_capacity_gb = r.F64();
+  t.bb_queued_gb = r.F64();
+  t.drain_gbps = r.F64();
+  t.bb_congested = r.Bool();
+  t.bb_faulted = r.Bool();
+  t.drain_factor = r.F64();
+  PredictionState& p = in.prediction;
+  p.enabled = r.Bool();
+  p.horizon_seconds = r.F64();
+  p.upcoming.resize(r.U32());
+  for (PredictedBurst& b : p.upcoming) {
+    b.id = r.I64();
+    b.eta_seconds = r.F64();
+    b.rate_gbps = r.F64();
+    b.volume_gb = r.F64();
+    b.support = static_cast<std::size_t>(r.U64());
+  }
+  p.imminent_rate_gbps = r.F64();
+  p.imminent_volume_gb = r.F64();
+  in.flush_backlog_gb = r.F64();
+  in.flush_backlog_count = static_cast<std::size_t>(r.U64());
+  return in;
+}
+
+}  // namespace
+
 void IoScheduler::SaveState(ckpt::Writer& w) const {
   std::vector<workload::JobId> ids;
   jobs_.SortedIds(ids);
@@ -961,6 +1027,7 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
     }
     policy_->SaveState(w);
   }
+  SaveCycleInputs(w, cycle_inputs_);
 }
 
 void IoScheduler::RestoreState(
@@ -1022,8 +1089,7 @@ void IoScheduler::RestoreState(
     ab.volume_gb = r.F64();
     ab.durable_gb = r.F64();
     absorbed_events_.emplace(id, ab);
-    simulator_.RestoreEvent(ab.fire_time, ab.event,
-                            AbsorbedAction(id, ab.duration));
+    simulator_.RestoreEvent(ab.fire_time, ab.event, AbsorbedAction(id));
   }
   util::Rng::State jitter;
   jitter.engine.state = r.U64();
@@ -1107,6 +1173,7 @@ void IoScheduler::RestoreState(
     }
     policy_->RestoreState(r);
   }
+  cycle_inputs_ = RestoreCycleInputs(r);
   // User slots are runtime-only (not serialized); relink every restored
   // transfer to its owner's JobStore slot. The engine restores the storage
   // model before this component, so the transfers are already in place.

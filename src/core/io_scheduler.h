@@ -349,8 +349,9 @@ class IoScheduler {
   void OnBandwidthChange(double new_bwmax_gbps, sim::SimTime now);
 
   /// Closure used for both fresh scheduling and checkpoint re-arming of a
-  /// burst-buffer-absorbed completion.
-  std::function<void()> AbsorbedAction(workload::JobId id, double duration);
+  /// burst-buffer-absorbed completion; it credits the duration stored in
+  /// the job's absorbed_events_ entry.
+  std::function<void()> AbsorbedAction(workload::JobId id);
 
   /// Closure for a deferred flush's forced-release deadline.
   std::function<void()> FlushReleaseAction(workload::JobId id);
@@ -467,13 +468,13 @@ class IoScheduler {
   sim::SimTime bb_congestion_start_ = 0.0;
   /// Prediction-driven scheduling (off by default). The predictor only
   /// exists in learned mode; the per-cycle PredictionState is rebuilt from
-  /// scratch each cycle, so only the predictor itself is checkpointed.
+  /// scratch each cycle.
   PredictionConfig prediction_config_;
   std::unique_ptr<IoBehaviorPredictor> predictor_;
-  /// Per-cycle policy observations; handed to Plan/Execute by pointer.
-  /// Member (not stack) so GreedyAdapter's latched pointer stays valid
-  /// between cycles (DeferFlush reads the previous cycle's snapshot, the
-  /// same stale-snapshot semantics the old observer members had).
+  /// Per-cycle policy observations; handed to Plan/Execute by pointer and
+  /// to DeferFlush by reference. Between cycles it holds the previous
+  /// cycle's snapshot (the stale-snapshot semantics the old observer
+  /// members had), so it is checkpointed whole.
   CycleInputs cycle_inputs_;
   /// Two-phase plan state. `policy_is_planning_` caches WantsPlanning()
   /// (it gates the review event, the plan checkpoint section, and the

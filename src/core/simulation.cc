@@ -222,10 +222,14 @@ class Engine {
     }
     if (!restored_) {
       if (checker_.has_value()) checker_->MarkCompleteHistory();
-      for (const workload::Job& job : jobs_) {
-        pending_submits_[job.id] =
-            simulator_.ScheduleAt(job.submit_time, SubmitAction(job));
+      // Every submission draws its id now, in jobs_ order: the ids pushing
+      // them all up front would have drawn.
+      sim::EventId first = simulator_.ReserveEventIds(jobs_.size());
+      arrivals_.reserve(jobs_.size());
+      for (std::size_t i = 0; i < jobs_.size(); ++i) {
+        arrivals_.push_back(Arrival{first + i, &jobs_[i]});
       }
+      StartArrivalStream();
       if (injector_.has_value()) injector_->Arm();
       if (hub_ != nullptr && hub_->options().sample_dt_seconds > 0) {
         // The engine owns the tick cadence: the first sample lands at t=0
@@ -306,9 +310,10 @@ class Engine {
   // it first, keeping the checkpointed pending sets exactly the
   // not-yet-fired events.
 
-  std::function<void()> SubmitAction(const workload::Job& job) {
-    return [this, &job] {
-      pending_submits_.erase(job.id);
+  std::function<void()> ArrivalAction() {
+    return [this] {
+      const workload::Job& job = *arrivals_[next_arrival_++].job;
+      ArmNextArrival();
       OnSubmit(job);
     };
   }
@@ -324,10 +329,14 @@ class Engine {
     return [this, id] { KillJob(id); };
   }
 
-  std::function<void()> ComputeAction(workload::JobId id, double duration) {
-    return [this, id, duration] {
-      running_.at(id).has_compute_event = false;
-      io_scheduler_.AddCompletedCompute(id, duration);
+  // Captures stay within std::function's inline buffer ([this, id]), so
+  // scheduling a compute phase never allocates; the duration is read back
+  // from the job's state.
+  std::function<void()> ComputeAction(workload::JobId id) {
+    return [this, id] {
+      ExecState& state = running_.at(id);
+      state.has_compute_event = false;
+      io_scheduler_.AddCompletedCompute(id, state.compute_duration);
       AdvancePhase(id);
     };
   }
@@ -337,6 +346,30 @@ class Engine {
       has_sample_event_ = false;
       SampleTick();
     };
+  }
+
+  /// Order the arrival stream by (submit time, event id) — the order the
+  /// heap would pop the submissions in — and arm its head.
+  void StartArrivalStream() {
+    std::sort(arrivals_.begin(), arrivals_.end(),
+              [](const Arrival& a, const Arrival& b) {
+                if (a.job->submit_time != b.job->submit_time) {
+                  return a.job->submit_time < b.job->submit_time;
+                }
+                return a.event < b.event;
+              });
+    next_arrival_ = 0;
+    ArmNextArrival();
+  }
+
+  /// Put the next un-fired submission into the heap under its reserved
+  /// id. Only the stream's head is ever queued: every later submission
+  /// sorts after it, so it enters the heap before it could be the minimum.
+  void ArmNextArrival() {
+    if (next_arrival_ == arrivals_.size()) return;
+    const Arrival& next = arrivals_[next_arrival_];
+    simulator_.RestoreEvent(next.job->submit_time, next.event,
+                            ArrivalAction());
   }
 
   void ArmSampleTick(sim::SimTime t) {
@@ -588,7 +621,7 @@ class Engine {
         state.compute_duration = phase.compute_seconds;
         state.compute_fire_time = now + phase.compute_seconds;
         state.compute_event = simulator_.ScheduleAt(
-            state.compute_fire_time, ComputeAction(id, phase.compute_seconds));
+            state.compute_fire_time, ComputeAction(id));
         state.has_compute_event = true;
         return;
       }
@@ -982,14 +1015,18 @@ class Engine {
       w.I64(r.flush_count);
       w.F64(r.rework_seconds);
     }
-    // Pending submit events (fire time = the job's submit time).
-    ids.clear();
-    for (const auto& [id, event] : pending_submits_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.U32(static_cast<std::uint32_t>(ids.size()));
-    for (workload::JobId id : ids) {
+    // Pending submit events (fire time = the job's submit time): the
+    // un-fired tail of the arrival stream, by job id.
+    std::vector<std::pair<workload::JobId, sim::EventId>> submits;
+    submits.reserve(arrivals_.size() - next_arrival_);
+    for (std::size_t i = next_arrival_; i < arrivals_.size(); ++i) {
+      submits.emplace_back(arrivals_[i].job->id, arrivals_[i].event);
+    }
+    std::sort(submits.begin(), submits.end());
+    w.U32(static_cast<std::uint32_t>(submits.size()));
+    for (const auto& [id, event] : submits) {
       w.I64(id);
-      w.U64(pending_submits_.at(id));
+      w.U64(event);
     }
     // Pending backoff scheduling passes (std::map: already sorted).
     w.U32(static_cast<std::uint32_t>(pending_passes_.size()));
@@ -1043,7 +1080,7 @@ class Engine {
         s.compute_fire_time = r.F64();
         s.compute_duration = r.F64();
         simulator_.RestoreEvent(s.compute_fire_time, s.compute_event,
-                                ComputeAction(id, s.compute_duration));
+                                ComputeAction(id));
       }
       s.durable_phase = static_cast<std::size_t>(r.U64());
       s.durable_anchor_time = r.F64();
@@ -1094,13 +1131,13 @@ class Engine {
       records_.push_back(rec);
     }
     n = r.U32();
+    arrivals_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       workload::JobId id = r.I64();
       sim::EventId event = r.U64();
-      const workload::Job* job = must_resolve(id);
-      simulator_.RestoreEvent(job->submit_time, event, SubmitAction(*job));
-      pending_submits_.emplace(id, event);
+      arrivals_.push_back(Arrival{event, must_resolve(id)});
     }
+    StartArrivalStream();
     n = r.U32();
     for (std::uint32_t i = 0; i < n; ++i) {
       std::uint64_t seq = r.U64();
@@ -1255,8 +1292,15 @@ class Engine {
   /// Scratch for RecordSample's suspended-transfer count.
   std::vector<const storage::Transfer*> sample_scratch_;
   // --- Checkpoint bookkeeping ----------------------------------------------
-  /// Not-yet-fired submit events, keyed by job id.
-  std::unordered_map<workload::JobId, sim::EventId> pending_submits_;
+  /// The arrival stream: every submission with its event id, sorted by
+  /// (submit time, id). Entries before `next_arrival_` have fired; the one
+  /// at `next_arrival_` is the only submission in the event heap.
+  struct Arrival {
+    sim::EventId event = 0;
+    const workload::Job* job = nullptr;
+  };
+  std::vector<Arrival> arrivals_;
+  std::size_t next_arrival_ = 0;
   /// A not-yet-fired backoff scheduling pass (armed by FailJob).
   struct PendingPass {
     sim::EventId event = 0;

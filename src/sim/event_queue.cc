@@ -5,38 +5,68 @@
 
 namespace iosched::sim {
 
+void EventQueue::IdBits::Set(EventId id) {
+  if (words_.empty()) base_ = id & ~EventId{63};
+  if (id < base_) {
+    EventId new_base = id & ~EventId{63};
+    words_.insert(words_.begin(), (base_ - new_base) >> 6, 0);
+    base_ = new_base;
+  }
+  std::uint64_t w = (id - base_) >> 6;
+  if (w >= words_.size()) words_.resize(w + 1, 0);
+  words_[w] |= Bit(id);
+}
+
 EventId EventQueue::Push(SimTime time, std::function<void()> action) {
   EventId id = next_id_++;
-  heap_.push_back(Entry{time, id});
-  std::push_heap(heap_.begin(), heap_.end(), Later);
-  actions_.emplace(id, std::move(action));
+  Insert(time, id, std::move(action));
   return id;
 }
 
-bool EventQueue::Cancel(EventId id) {
-  auto it = actions_.find(id);
-  if (it == actions_.end()) return false;
-  actions_.erase(it);
-  cancelled_.insert(id);
-  if (cancelled_.size() >= kCompactionMinCancelled &&
-      cancelled_.size() > actions_.size()) {
-    Compact();
+void EventQueue::Insert(SimTime time, EventId id,
+                        std::function<void()> action) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(action));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(action);
   }
+  heap_.push_back(Entry{time, id, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
+  live_bits_.Set(id);
+  ++live_;
+}
+
+void EventQueue::ReleaseSlot(std::uint32_t slot) const {
+  slots_[slot] = nullptr;
+  free_slots_.push_back(slot);
+}
+
+bool EventQueue::Cancel(EventId id) {
+  if (!live_bits_.Test(id)) return false;
+  live_bits_.Reset(id);
+  --live_;
+  std::size_t cancelled = heap_.size() - live_;
+  if (cancelled >= kCompactionMinCancelled && cancelled > live_) Compact();
   return true;
 }
 
 void EventQueue::Compact() {
-  if (cancelled_.empty()) return;
+  if (heap_.size() == live_) return;
   std::erase_if(heap_, [this](const Entry& e) {
-    return cancelled_.find(e.id) != cancelled_.end();
+    if (live_bits_.Test(e.id)) return false;
+    ReleaseSlot(e.slot);
+    return true;
   });
   std::make_heap(heap_.begin(), heap_.end(), Later);
-  cancelled_.clear();
 }
 
 void EventQueue::DropCancelledHead() const {
-  while (!heap_.empty() && cancelled_.count(heap_.front().id)) {
-    cancelled_.erase(heap_.front().id);
+  while (!heap_.empty() && !live_bits_.Test(heap_.front().id)) {
+    ReleaseSlot(heap_.front().slot);
     std::pop_heap(heap_.begin(), heap_.end(), Later);
     heap_.pop_back();
   }
@@ -54,10 +84,17 @@ Event EventQueue::Pop() {
   Entry top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later);
   heap_.pop_back();
-  auto it = actions_.find(top.id);
-  Event ev{top.time, top.id, std::move(it->second)};
-  actions_.erase(it);
+  live_bits_.Reset(top.id);
+  --live_;
+  Event ev{top.time, top.id, std::move(slots_[top.slot])};
+  ReleaseSlot(top.slot);
   return ev;
+}
+
+EventId EventQueue::ReserveIds(std::uint64_t count) {
+  EventId first = next_id_;
+  next_id_ += count;
+  return first;
 }
 
 void EventQueue::RestoreSchedule(SimTime time, EventId id,
@@ -67,15 +104,14 @@ void EventQueue::RestoreSchedule(SimTime time, EventId id,
         "EventQueue::RestoreSchedule: id outside the restored range "
         "(SetNextId must run first)");
   }
-  if (!actions_.emplace(id, std::move(action)).second) {
+  if (live_bits_.Test(id)) {
     throw std::logic_error("EventQueue::RestoreSchedule: duplicate id");
   }
-  heap_.push_back(Entry{time, id});
-  std::push_heap(heap_.begin(), heap_.end(), Later);
+  Insert(time, id, std::move(action));
 }
 
 void EventQueue::SetNextId(EventId next_id) {
-  if (!actions_.empty() || !heap_.empty()) {
+  if (live_ != 0 || !heap_.empty()) {
     throw std::logic_error("EventQueue::SetNextId on a non-empty queue");
   }
   if (next_id == 0) throw std::logic_error("EventQueue::SetNextId: id 0");
@@ -84,8 +120,10 @@ void EventQueue::SetNextId(EventId next_id) {
 
 void EventQueue::Clear() {
   heap_.clear();
-  cancelled_.clear();
-  actions_.clear();
+  slots_.clear();
+  free_slots_.clear();
+  live_bits_.Clear();
+  live_ = 0;
 }
 
 }  // namespace iosched::sim

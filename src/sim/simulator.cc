@@ -44,7 +44,7 @@ void Simulator::RestoreEvent(SimTime time, EventId id,
                              std::function<void()> action) {
   if (time < now_ - util::kTimeEpsilon) {
     throw std::logic_error("Simulator::RestoreEvent: event at t=" +
-                           std::to_string(time) + " precedes restored now=" +
+                           std::to_string(time) + " precedes now=" +
                            std::to_string(now_));
   }
   if (time < now_) time = now_;

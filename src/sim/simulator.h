@@ -77,8 +77,15 @@ class Simulator {
     processed_ = processed_events;
   }
 
-  /// Re-arm one event under its original id at its original firing time.
-  /// `time` may not precede the restored clock.
+  /// Set aside the next `count` event ids (EventQueue::ReserveIds) for
+  /// events the caller schedules later through RestoreEvent.
+  EventId ReserveEventIds(std::uint64_t count) {
+    return queue_.ReserveIds(count);
+  }
+
+  /// Schedule one event under an id handed out earlier: a checkpointed
+  /// event's original id at its original firing time, or a reserved id.
+  /// `time` may not precede the clock.
   void RestoreEvent(SimTime time, EventId id, std::function<void()> action);
 
  private:

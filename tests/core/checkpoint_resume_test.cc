@@ -1,7 +1,9 @@
 // Resume-equivalence: the correctness bar of the checkpoint subsystem. A
 // run restored from ANY checkpoint must produce per-job records
-// bit-identical (FNV-1a digest equality) to the uninterrupted run — for
-// every policy family and with fault injection on or off. Also covers the
+// bit-identical (FNV-1a digest equality) to the uninterrupted run, with the
+// same engine counters (events, grant cycles, I/O requests, flush
+// deferrals and forced releases) — for every policy family and with fault
+// injection on or off. Also covers the
 // failure modes: config mismatch, corrupted checkpoints, and the
 // abort/emergency-checkpoint path used by the watchdog.
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "core/simulation.h"
 #include "driver/scenario.h"
 #include "metrics/digest.h"
+#include "workload/app_checkpoint.h"
 
 namespace iosched {
 namespace {
@@ -37,16 +40,25 @@ struct Case {
   /// degradations, transfer stragglers with timeout/retry armed. Implies
   /// burst_buffer.
   bool bb_faults = false;
+  /// Application-checkpoint flush traffic: Young/Daly flush phases,
+  /// deferrable flushes, MTBF failures with restart from the last durable
+  /// flush. Flush deferral decisions between grant cycles read the last
+  /// cycle's tier snapshot, so that snapshot is on the resume bar too.
+  /// Packed with the other flags so the struct keeps its size, and with it
+  /// the GetParam() text that ctest folds into the test names.
+  bool app_ckpt = false;
   /// Prediction mode (nullptr = subsystem off). "learned" makes the
   /// predictor's EWMA tables part of the resume-equivalence bar: dropping
   /// them on resume would change post-resume grants and diverge the digest.
   const char* predict = nullptr;
 };
+static_assert(sizeof(Case) == 3 * sizeof(const char*));
 
 std::string CaseSlug(const Case& c) {
   return std::string(c.policy) + (c.faults ? "_faulted" : "_clean") +
          (c.burst_buffer ? "_bb" : "") + (c.bb_faults ? "_bbfaults" : "") +
-         (c.predict != nullptr ? std::string("_pred_") + c.predict : "");
+         (c.predict != nullptr ? std::string("_pred_") + c.predict : "") +
+         (c.app_ckpt ? "_appckpt" : "");
 }
 
 std::string CaseName(const testing::TestParamInfo<Case>& info) {
@@ -110,6 +122,29 @@ std::pair<core::SimulationConfig, workload::Workload> BuildCase(
     config.prediction.mode = c.predict;
     config.prediction.min_support = 2;  // thin-evidence blending mid-run
   }
+  if (c.app_ckpt) {
+    // A slow-draining buffer without a per-job quota: its backlog keeps
+    // crossing ADAPTIVE's deferral threshold, so whether a flush parks
+    // depends on the last cycle's tier snapshot.
+    config.burst_buffer.capacity_gb = 1000.0;
+    config.burst_buffer.drain_gbps = 2.0;
+    config.burst_buffer.absorb_gbps = 20.0;
+    config.burst_buffer.per_job_quota_gb = 0.0;
+    workload::AppCheckpointConfig ac;
+    ac.enabled = true;
+    ac.mtbf_seconds = 1800.0;
+    ac.min_interval_seconds = 60.0;
+    ac.min_compute_seconds = 120.0;
+    workload::ApplyCheckpointTraffic(scenario.jobs, ac,
+                                     config.machine.node_bandwidth_gbps);
+    config.app_checkpoint.enabled = true;
+    config.app_checkpoint.max_defer_seconds = 300.0;
+    config.faults.plan_config.enabled = true;
+    config.faults.plan_config.seed = 5;
+    config.faults.plan_config.job_mtbf_seconds = ac.mtbf_seconds;
+    config.faults.restart_mode =
+        faults::RestartMode::kRestartFromAppCheckpoint;
+  }
   return {config, std::move(scenario.jobs)};
 }
 
@@ -117,8 +152,11 @@ class CheckpointResumeTest : public testing::TestWithParam<Case> {};
 
 TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
   auto [config, jobs] = BuildCase(GetParam());
-  std::uint64_t reference =
-      metrics::DigestRecords(core::RunSimulation(config, jobs).records);
+  core::SimulationResult uninterrupted = core::RunSimulation(config, jobs);
+  std::uint64_t reference = metrics::DigestRecords(uninterrupted.records);
+  if (GetParam().app_ckpt) {
+    ASSERT_GT(uninterrupted.flush_deferrals, 0u);
+  }
 
   // Pass 1: the checkpointing run itself must not perturb the schedule.
   // The directory must be unique per case — ctest runs the parameterized
@@ -127,7 +165,7 @@ TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
   std::string dir = TestDir(CaseSlug(GetParam()));
   core::SimulationConfig saving = config;
   saving.checkpoint.directory = dir;
-  saving.checkpoint.every_events = 60;
+  saving.checkpoint.every_events = GetParam().app_ckpt ? 15 : 60;
   saving.checkpoint.keep_last = 0;  // keep every snapshot
   core::SimulationResult checkpointed = core::RunSimulation(saving, jobs);
   EXPECT_EQ(metrics::DigestRecords(checkpointed.records), reference);
@@ -143,6 +181,17 @@ TEST_P(CheckpointResumeTest, EveryCheckpointResumesToIdenticalRecords) {
     EXPECT_EQ(metrics::DigestRecords(resumed.records), reference)
         << "divergence after resuming from " << path;
     EXPECT_EQ(resumed.resumed_from, path);
+    EXPECT_EQ(resumed.events_processed, uninterrupted.events_processed)
+        << path;
+    EXPECT_EQ(resumed.io_scheduling_cycles,
+              uninterrupted.io_scheduling_cycles)
+        << path;
+    EXPECT_EQ(resumed.io_requests, uninterrupted.io_requests) << path;
+    EXPECT_EQ(resumed.flush_deferrals, uninterrupted.flush_deferrals)
+        << path;
+    EXPECT_EQ(resumed.forced_flush_releases,
+              uninterrupted.forced_flush_releases)
+        << path;
   }
 }
 
@@ -158,9 +207,10 @@ INSTANTIATE_TEST_SUITE_P(
                     Case{"ADAPTIVE", true, true},
                     Case{"BASE_LINE", false, true, true},
                     Case{"ADAPTIVE", true, true, true},
-                    Case{"PREDICTIVE", false, false, false, "learned"},
-                    Case{"PREDICTIVE_ADAPTIVE", true, true, false, "learned"},
-                    Case{"PREDICTIVE_ADAPTIVE", false, false, false,
+                    Case{"PREDICTIVE", false, false, false, false, "learned"},
+                    Case{"PREDICTIVE_ADAPTIVE", true, true, false, false,
+                         "learned"},
+                    Case{"PREDICTIVE_ADAPTIVE", false, false, false, false,
                          "oracle"},
                     // Planning family: the every-60-events cadence lands
                     // snapshots mid-window, so rotations, anchors, and
@@ -168,8 +218,12 @@ INSTANTIATE_TEST_SUITE_P(
                     // bit-exactly.
                     Case{"PERIODIC", false}, Case{"PERIODIC", true, true},
                     Case{"PLAN_BF", false},
-                    Case{"PLAN_BF", false, true, false, "oracle"},
-                    Case{"PLAN_BF", true, true, false, "oracle"}),
+                    Case{"PLAN_BF", false, true, false, false, "oracle"},
+                    Case{"PLAN_BF", true, true, false, false, "oracle"},
+                    // Flush traffic under ADAPTIVE with a burst buffer: the
+                    // fine cadence lands snapshots between a grant cycle
+                    // and a flush the policy parks on that cycle's tiers.
+                    Case{"ADAPTIVE", false, true, false, true}),
     CaseName);
 
 TEST(CheckpointResume, MismatchedConfigIsRejected) {
