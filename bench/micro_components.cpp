@@ -132,15 +132,9 @@ void BM_PolicyAssign(benchmark::State& state, const char* policy_name) {
   auto policy = core::MakePolicy(policy_name);
   auto active = MakeActiveSet(static_cast<std::size_t>(state.range(0)));
   core::CycleInputs inputs;
-  core::PlanContext ctx;
-  ctx.active = active;
-  ctx.inputs = &inputs;
-  ctx.max_bandwidth_gbps = 250.0;
-  ctx.now = 200.0;
-  policy->Plan(ctx);
-  core::PlanCursor cursor{1, 200.0, 0};
+  policy->BindInputs(&inputs);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->Execute(ctx, cursor));
+    benchmark::DoNotOptimize(policy->Assign(active, 250.0, 200.0));
   }
 }
 BENCHMARK_CAPTURE(BM_PolicyAssign, baseline, "BASE_LINE")->Arg(8)->Arg(64);
@@ -410,19 +404,12 @@ std::vector<ComponentResult> RunComponentTimers() {
     auto policy = core::MakePolicy(policy_name);
     auto active = MakeActiveSet(64);
     core::CycleInputs inputs;
-    core::PlanContext ctx;
-    ctx.active = active;
-    ctx.inputs = &inputs;
-    ctx.max_bandwidth_gbps = 250.0;
-    ctx.now = 200.0;
-    policy->Plan(ctx);
+    policy->BindInputs(&inputs);
     const std::size_t calls = 2048;
     out.push_back(TimeComponent(
         std::string("policy_assign_") + policy_name, calls, 3, [&] {
-          core::PlanCursor cursor{1, 200.0, 0};
           for (std::size_t c = 0; c < calls; ++c) {
-            policy->Execute(ctx, cursor);
-            ++cursor.cycles_in_plan;
+            policy->Assign(active, 250.0, 200.0);
           }
         }));
   }

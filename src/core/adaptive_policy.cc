@@ -285,7 +285,6 @@ std::vector<RateGrant> AdaptivePolicy::Assign(
 }
 
 bool AdaptivePolicy::DeferFlush(const FlushView& flush,
-                                const CycleInputs& inputs,
                                 double active_demand_gbps,
                                 double max_bandwidth_gbps, sim::SimTime now) {
   (void)flush;
@@ -294,10 +293,10 @@ bool AdaptivePolicy::DeferFlush(const FlushView& flush,
   // would add direct traffic to exactly the channel the drain reservation
   // is competing with. A faulted buffer does NOT defer — the flush data can
   // only reach the PFS over the direct path then.
-  const TierState& tiers = inputs.tiers;
-  if (tiers.bb_enabled &&
-      (tiers.bb_queued_gb > kBacklogDeferralFraction * tiers.bb_capacity_gb ||
-       tiers.drain_factor < 1.0)) {
+  if (tiers().bb_enabled &&
+      (tiers().bb_queued_gb >
+           kBacklogDeferralFraction * tiers().bb_capacity_gb ||
+       tiers().drain_factor < 1.0)) {
     return true;
   }
   // Otherwise release as soon as the direct channel has headroom.

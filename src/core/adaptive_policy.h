@@ -25,7 +25,7 @@ class Counter;
 
 namespace iosched::core {
 
-class AdaptivePolicy final : public GreedyAdapter {
+class AdaptivePolicy final : public IoPolicy {
  public:
   /// With `predictive` set the policy runs as PREDICTIVE_ADAPTIVE: identical
   /// to ADAPTIVE except that the over-admission branch is also suspended
@@ -35,7 +35,7 @@ class AdaptivePolicy final : public GreedyAdapter {
   /// off or never signalling, behavior is grant-for-grant ADAPTIVE.
   ///
   /// Tier / prediction / flush-backlog awareness all read the per-cycle
-  /// CycleInputs (GreedyAdapter::inputs(), or DeferFlush's argument):
+  /// CycleInputs (IoPolicy::inputs()):
   /// while the burst-buffer drain backlog is deep (above
   /// kBacklogDeferralFraction of capacity) or the parked-flush backlog
   /// holds kFlushBacklogDeferralSeconds of full-bandwidth work, the
@@ -53,9 +53,8 @@ class AdaptivePolicy final : public GreedyAdapter {
   /// Hold a ready flush while the direct channel is saturated or the
   /// burst-buffer drain is behind; release as soon as there is headroom
   /// (the scheduler force-releases at the deadline regardless).
-  bool DeferFlush(const FlushView& flush, const CycleInputs& inputs,
-                  double active_demand_gbps, double max_bandwidth_gbps,
-                  sim::SimTime now) override;
+  bool DeferFlush(const FlushView& flush, double active_demand_gbps,
+                  double max_bandwidth_gbps, sim::SimTime now) override;
 
   /// Backlog fraction of BB capacity above which over-admission pauses.
   static constexpr double kBacklogDeferralFraction = 0.5;

@@ -36,7 +36,7 @@ enum class ConservativeOrder {
                    // at which blocked partitions are released
 };
 
-class ConservativePolicy final : public GreedyAdapter {
+class ConservativePolicy final : public IoPolicy {
  public:
   explicit ConservativePolicy(ConservativeOrder order);
 

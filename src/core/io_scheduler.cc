@@ -1,7 +1,6 @@
 #include "core/io_scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -27,7 +26,7 @@ IoScheduler::IoScheduler(sim::Simulator& simulator,
   }
   if (!policy_) throw std::invalid_argument("IoScheduler: null policy");
   if (!on_complete_) throw std::invalid_argument("IoScheduler: null callback");
-  policy_is_planning_ = policy_->WantsPlanning();
+  policy_->BindInputs(&cycle_inputs_);
   storage_.SetBandwidthChangeListener(
       [this](double new_bwmax, sim::SimTime now) {
         OnBandwidthChange(new_bwmax, now);
@@ -143,8 +142,7 @@ void IoScheduler::SubmitRequest(workload::JobId id, double volume_gb,
     }
     FlushView view{id, volume_gb, full_rate, now,
                    now + flush_config_.max_defer_seconds};
-    if (policy_->DeferFlush(view, cycle_inputs_, storage_.TotalDemand(),
-                            usable, now)) {
+    if (policy_->DeferFlush(view, storage_.TotalDemand(), usable, now)) {
       ParkFlush(id, volume_gb, now);
       Reschedule(now);
       return;
@@ -210,7 +208,7 @@ void IoScheduler::ReleaseDeferredFlushes(sim::SimTime now) {
       FlushView view{id, df.volume_gb,
                      ctx.job->FullIoRate(node_bandwidth_gbps_),
                      df.submit_time, df.fire_time};
-      if (!policy_->DeferFlush(view, cycle_inputs_, demand, usable, now)) {
+      if (!policy_->DeferFlush(view, demand, usable, now)) {
         release_id = id;
         release_volume = df.volume_gb;
         found = true;
@@ -283,10 +281,6 @@ void IoScheduler::OnBandwidthChange(double new_bwmax_gbps, sim::SimTime now) {
                            new_bwmax_gbps);
     hub_->forced_reschedules->Inc();
   }
-  // A standing plan was budgeted against the old resource envelope; its
-  // promises may exceed the degraded BWmax (which the reservation audit
-  // would rightly flag). Replan inside this very cycle.
-  if (policy_is_planning_) has_plan_ = false;
   Reschedule(now);
 }
 
@@ -411,14 +405,8 @@ void IoScheduler::Reschedule(sim::SimTime now) {
 
   FillViews(views_scratch_);
   const std::vector<IoJobView>& views = views_scratch_;
-  PlanContext ctx;
-  ctx.active = views;
-  ctx.inputs = &cycle_inputs_;
-  ctx.max_bandwidth_gbps = usable_bandwidth;
-  ctx.now = now;
-  ctx.window_seconds = plan_config_.window_seconds;
-  ctx.slice_seconds = plan_config_.slice_seconds;
-  std::vector<RateGrant> grants = PlanAndExecute(ctx);
+  std::vector<RateGrant> grants =
+      policy_->Assign(views, usable_bandwidth, now);
   ValidateGrants(views, grants);
   // Views were built in arrival order, so grant i addresses the slot at
   // arrival_order[i] whenever the policy preserved positions (they all do);
@@ -510,12 +498,6 @@ void IoScheduler::Reschedule(sim::SimTime now) {
     pending_event_time_ = next->first;
   }
 
-  // Planning policies may want a cycle at the next plan boundary (slice
-  // edge, reservation edge, window expiry) even if no request arrives or
-  // completes there. Greedy policies never take this branch, so their
-  // event-id sequences — and replay digests — are untouched.
-  if (policy_is_planning_) ArmPlanReview(ctx);
-
   // Benched checkpoint flushes get a fresh release query every cycle: the
   // congestion that parked them may just have cleared.
   if (flush_config_.enabled && !deferred_flushes_.empty()) {
@@ -543,73 +525,6 @@ void IoScheduler::RefreshCycleInputs(sim::SimTime now) {
     cycle_inputs_.flush_backlog_gb = deferred_backlog_gb_;
     cycle_inputs_.flush_backlog_count = deferred_flushes_.size();
   }
-}
-
-std::vector<RateGrant> IoScheduler::PlanAndExecute(const PlanContext& ctx) {
-  bool replan = !has_plan_;
-  if (policy_is_planning_ && has_plan_) {
-    replan = ctx.now >= plan_valid_until_ ||
-             (plan_config_.churn_cycles > 0 &&
-              cycles_in_plan_ >= plan_config_.churn_cycles) ||
-             policy_->PlanInvalidated(ctx);
-  }
-  if (replan) {
-    auto wall_start = std::chrono::steady_clock::now();
-    IoPlan plan = policy_->Plan(ctx);
-    plan_wall_seconds_ += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - wall_start)
-                              .count();
-    has_plan_ = true;
-    plan_computed_at_ = ctx.now;
-    plan_valid_until_ = plan.valid_until;
-    if (policy_is_planning_ && plan_config_.window_seconds > 0) {
-      plan_valid_until_ = std::min(
-          plan_valid_until_, ctx.now + plan_config_.window_seconds);
-    }
-    ++replans_;
-    cycles_in_plan_ = 0;
-  }
-  PlanCursor cursor{replans_, plan_computed_at_, cycles_in_plan_};
-  ++cycles_in_plan_;
-  return policy_->Execute(ctx, cursor);
-}
-
-void IoScheduler::ArmPlanReview(const PlanContext& ctx) {
-  if (has_review_event_) {
-    simulator_.Cancel(review_event_);
-    has_review_event_ = false;
-  }
-  // The policy folds its own plan expiry into NextPlanEvent while it has
-  // standing traffic and returns infinity when idle — an unconditional
-  // expiry wakeup would keep the event queue non-empty forever and the
-  // simulation would never drain.
-  sim::SimTime next = policy_->NextPlanEvent(ctx);
-  if (!std::isfinite(next)) return;
-  sim::SimTime wake = std::max(next, ctx.now + 1e-4);
-  review_event_ = simulator_.ScheduleAt(wake, PlanReviewAction());
-  has_review_event_ = true;
-  review_event_time_ = wake;
-}
-
-std::function<void()> IoScheduler::PlanReviewAction() {
-  return [this] {
-    has_review_event_ = false;
-    Reschedule(simulator_.Now());
-  };
-}
-
-std::string PlanConfig::Validate() const {
-  if (window_seconds <= 0) return "window_seconds must be > 0";
-  if (slice_seconds <= 0) return "slice_seconds must be > 0";
-  return "";
-}
-
-void IoScheduler::ConfigurePlanning(const PlanConfig& config) {
-  std::string err = config.Validate();
-  if (!err.empty()) {
-    throw std::invalid_argument("IoScheduler::ConfigurePlanning: " + err);
-  }
-  plan_config_ = config;
 }
 
 std::function<void()> IoScheduler::AbsorbedAction(workload::JobId id) {
@@ -1008,25 +923,6 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
     w.U64(flush_deferrals_);
     w.U64(forced_flush_releases_);
   }
-  // Two-phase plan state (appended, gated on the policy actually planning,
-  // so checkpoint streams from greedy-policy runs only gain the gate byte).
-  // A planning policy's standing plan — cadence bookkeeping, the review
-  // event, and the policy's own cross-cycle state — must survive a resume
-  // bit-exactly or the resumed run diverges from the uninterrupted one.
-  w.Bool(policy_is_planning_);
-  if (policy_is_planning_) {
-    w.Bool(has_plan_);
-    w.F64(plan_computed_at_);
-    w.F64(plan_valid_until_);
-    w.U64(replans_);
-    w.U64(cycles_in_plan_);
-    w.Bool(has_review_event_);
-    if (has_review_event_) {
-      w.U64(review_event_);
-      w.F64(review_event_time_);
-    }
-    policy_->SaveState(w);
-  }
   SaveCycleInputs(w, cycle_inputs_);
 }
 
@@ -1152,26 +1048,6 @@ void IoScheduler::RestoreState(
     }
     flush_deferrals_ = r.U64();
     forced_flush_releases_ = r.U64();
-  }
-  if (r.Bool()) {
-    if (!policy_is_planning_) {
-      throw std::runtime_error(
-          "IoScheduler::RestoreState: checkpoint carries plan state but the "
-          "configured policy is not a planning policy");
-    }
-    has_plan_ = r.Bool();
-    plan_computed_at_ = r.F64();
-    plan_valid_until_ = r.F64();
-    replans_ = r.U64();
-    cycles_in_plan_ = r.U64();
-    has_review_event_ = r.Bool();
-    if (has_review_event_) {
-      review_event_ = r.U64();
-      review_event_time_ = r.F64();
-      simulator_.RestoreEvent(review_event_time_, review_event_,
-                              PlanReviewAction());
-    }
-    policy_->RestoreState(r);
   }
   cycle_inputs_ = RestoreCycleInputs(r);
   // User slots are runtime-only (not serialized); relink every restored

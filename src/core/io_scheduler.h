@@ -62,28 +62,6 @@ struct TransferRetryConfig {
   std::string Validate() const;
 };
 
-/// Replan cadence for planning policies (PERIODIC, PLAN_BF). The scheduler
-/// asks the policy for a fresh plan when the standing one expires
-/// (`window_seconds` after it was computed, or earlier if the plan itself
-/// returned a tighter valid_until), when the active set has churned through
-/// `churn_cycles` scheduling cycles since the last plan (0 disables the
-/// churn trigger), or when the policy reports PlanInvalidated. Greedy
-/// policies ignore all of this: their plans never expire and they replan
-/// only on (free) pointer-latching Plan calls after a restore.
-struct PlanConfig {
-  /// Planning-window length (seconds); also handed to the policy as the
-  /// horizon it should plan for. Must be > 0.
-  double window_seconds = 600.0;
-  /// Pattern slice length for PERIODIC (seconds). Must be > 0.
-  double slice_seconds = 30.0;
-  /// Replan after this many scheduling cycles under one plan (0 = only the
-  /// window / invalidation triggers).
-  std::uint64_t churn_cycles = 0;
-
-  /// Error description, or empty when valid.
-  std::string Validate() const;
-};
-
 /// Checkpoint-flush-aware scheduling (application checkpoint traffic). When
 /// enabled, I/O requests submitted with the flush flag become *deferrable*:
 /// a policy may park a direct-path flush while it reports congestion, and
@@ -212,19 +190,6 @@ class IoScheduler {
   /// starts). Throws std::invalid_argument on a negative deferral bound.
   void ConfigureFlushScheduling(const FlushDeferralConfig& config);
 
-  /// Configure the replan cadence (call before the run starts). Throws
-  /// std::invalid_argument on invalid fields. Meaningful only for planning
-  /// policies; harmless otherwise.
-  void ConfigurePlanning(const PlanConfig& config);
-
-  /// Plans built so far (0 until the first scheduling cycle; greedy
-  /// policies plan exactly once per process/restore).
-  std::uint64_t replans() const { return replans_; }
-
-  /// Wall-clock seconds spent inside IoPolicy::Plan (host-side measurement
-  /// for the plan-quality study; never feeds back into simulated time).
-  double plan_wall_seconds() const { return plan_wall_seconds_; }
-
   /// Cumulative volume the burst buffer has drained to the PFS by `now`
   /// (0 without a buffer). Settles the drain to `now` first, so callers can
   /// compare it against IoCompletionInfo::durable_drain_gb thresholds.
@@ -324,18 +289,6 @@ class IoScheduler {
   /// prediction while enabled, flush backlog while flush-aware scheduling
   /// is on. Fields of disabled features keep their defaults.
   void RefreshCycleInputs(sim::SimTime now);
-
-  /// Replan-or-execute decision for this cycle: (re)build the plan when
-  /// there is none, the standing one expired or churned out, or the policy
-  /// invalidated it; then Execute against the standing plan.
-  std::vector<RateGrant> PlanAndExecute(const PlanContext& ctx);
-
-  /// Re-arm the plan review event from the policy's NextPlanEvent (planning
-  /// policies only; greedy policies never add simulator events).
-  void ArmPlanReview(const PlanContext& ctx);
-  /// Closure for the plan review event (fresh arming and checkpoint
-  /// re-arming).
-  std::function<void()> PlanReviewAction();
 
   /// The mode's prediction for `job`: learned predictor, exact trace
   /// profile (oracle), or the support-0 default (null).
@@ -471,29 +424,10 @@ class IoScheduler {
   /// scratch each cycle.
   PredictionConfig prediction_config_;
   std::unique_ptr<IoBehaviorPredictor> predictor_;
-  /// Per-cycle policy observations; handed to Plan/Execute by pointer and
-  /// to DeferFlush by reference. Between cycles it holds the previous
-  /// cycle's snapshot (the stale-snapshot semantics the old observer
-  /// members had), so it is checkpointed whole.
+  /// Per-cycle policy observations, bound to the policy once at
+  /// construction. Between cycles it holds the previous cycle's snapshot,
+  /// which DeferFlush reads, so it is checkpointed whole.
   CycleInputs cycle_inputs_;
-  /// Two-phase plan state. `policy_is_planning_` caches WantsPlanning()
-  /// (it gates the review event, the plan checkpoint section, and the
-  /// backfill hook).
-  PlanConfig plan_config_;
-  bool policy_is_planning_ = false;
-  bool has_plan_ = false;
-  sim::SimTime plan_computed_at_ = 0.0;
-  sim::SimTime plan_valid_until_ = 0.0;
-  std::uint64_t replans_ = 0;
-  std::uint64_t cycles_in_plan_ = 0;
-  double plan_wall_seconds_ = 0.0;
-  /// Plan review event: wakes the scheduler at the next plan boundary
-  /// (slice edge, reservation edge, window expiry) so planning policies can
-  /// change rates when no request arrives or completes there. Same
-  /// cancel/re-arm triplet pattern as the drain event.
-  sim::EventId review_event_ = 0;
-  bool has_review_event_ = false;
-  sim::SimTime review_event_time_ = 0.0;
   /// Cycle-scratch buffers (capacity reused across the ~1 cycle per event
   /// of a month-long replay; cleared each use).
   std::vector<IoJobView> views_scratch_;

@@ -5,104 +5,85 @@
 #include "core/adaptive_policy.h"
 #include "core/baseline_policy.h"
 #include "core/conservative_policy.h"
-#include "core/periodic_policy.h"
-#include "core/plan_bf_policy.h"
 #include "core/predictive_policy.h"
 #include "util/strings.h"
 
 namespace iosched::core {
 
+namespace {
+
+template <typename Policy, auto... args>
+std::unique_ptr<IoPolicy> Make() {
+  return std::make_unique<Policy>(args...);
+}
+
+const PolicyEntry* FindEntry(const std::string& name) {
+  std::string n = util::ToLower(name);
+  for (const PolicyEntry& entry : PolicyRegistry()) {
+    if (n == util::ToLower(entry.name)) return &entry;
+    for (const char* alias : entry.aliases) {
+      if (n == alias) return &entry;
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::span<const PolicyEntry> PolicyRegistry() {
+  using Order = ConservativeOrder;
+  static const PolicyEntry kRegistry[] = {
+      {"BASE_LINE", {"baseline"}, Make<BaselinePolicy>},
+      {"FCFS", {"cons_fcfs", "cons-fcfs"},
+       Make<ConservativePolicy, Order::kFcfs>},
+      {"MAX_UTIL", {"cons_maxutil", "cons-maxutil"},
+       Make<ConservativePolicy, Order::kMaxUtil>},
+      {"MIN_INST_SLD", {"cons_mininstsld"},
+       Make<ConservativePolicy, Order::kMinInstSld>},
+      {"MIN_AGGR_SLD", {"cons_minaggrsld"},
+       Make<ConservativePolicy, Order::kMinAggrSld>},
+      {"ADAPTIVE", {}, Make<AdaptivePolicy>},
+      {"PREDICTIVE", {"cons_predictive"}, Make<PredictivePolicy>},
+      {"PREDICTIVE_ADAPTIVE", {"predictive-adaptive"},
+       Make<AdaptivePolicy, /*predictive=*/true>},
+      {"BASE_LINE_MAXMIN", {"maxmin"}, Make<MaxMinPolicy>},
+      {"SJF", {}, Make<ConservativePolicy, Order::kShortestFirst>},
+      {"WSJF", {"smith"}, Make<ConservativePolicy, Order::kSmithRule>},
+  };
+  return kRegistry;
+}
+
 const std::vector<std::string>& AllPolicyNames() {
-  static const std::vector<std::string> kNames = {
-      "BASE_LINE", "FCFS", "MAX_UTIL", "MIN_INST_SLD", "MIN_AGGR_SLD",
-      "ADAPTIVE", "PREDICTIVE", "PREDICTIVE_ADAPTIVE", "BASE_LINE_MAXMIN",
-      "SJF", "WSJF"};
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const PolicyEntry& entry : PolicyRegistry()) {
+      names.emplace_back(entry.name);
+    }
+    return names;
+  }();
   return kNames;
 }
 
-const std::vector<std::string>& PlanningPolicyNames() {
-  static const std::vector<std::string> kNames = {"PERIODIC", "PLAN_BF"};
-  return kNames;
+bool KnownPolicyName(const std::string& name) {
+  return FindEntry(name) != nullptr;
 }
 
 std::string PolicyNamesHelp() {
   std::string help;
-  for (const std::string& name : AllPolicyNames()) {
+  for (const PolicyEntry& entry : PolicyRegistry()) {
     if (!help.empty()) help += "|";
-    help += name;
-  }
-  for (const std::string& name : PlanningPolicyNames()) {
-    help += "|";
-    help += name;
+    help += entry.name;
   }
   return help;
 }
 
-namespace {
-std::unique_ptr<IoPolicy> TryMakePolicy(const std::string& name) {
-  std::string n = util::ToLower(name);
-  if (n == "base_line" || n == "baseline") {
-    return std::make_unique<BaselinePolicy>();
-  }
-  if (n == "base_line_maxmin" || n == "maxmin") {
-    return std::make_unique<MaxMinPolicy>();
-  }
-  if (n == "fcfs" || n == "cons_fcfs" || n == "cons-fcfs") {
-    return std::make_unique<ConservativePolicy>(ConservativeOrder::kFcfs);
-  }
-  if (n == "max_util" || n == "cons_maxutil" || n == "cons-maxutil") {
-    return std::make_unique<ConservativePolicy>(ConservativeOrder::kMaxUtil);
-  }
-  if (n == "min_inst_sld" || n == "cons_mininstsld") {
-    return std::make_unique<ConservativePolicy>(
-        ConservativeOrder::kMinInstSld);
-  }
-  if (n == "min_aggr_sld" || n == "cons_minaggrsld") {
-    return std::make_unique<ConservativePolicy>(
-        ConservativeOrder::kMinAggrSld);
-  }
-  if (n == "adaptive") {
-    return std::make_unique<AdaptivePolicy>();
-  }
-  if (n == "predictive" || n == "cons_predictive") {
-    return std::make_unique<PredictivePolicy>();
-  }
-  if (n == "predictive_adaptive" || n == "predictive-adaptive") {
-    return std::make_unique<AdaptivePolicy>(/*predictive=*/true);
-  }
-  if (n == "sjf") {
-    return std::make_unique<ConservativePolicy>(
-        ConservativeOrder::kShortestFirst);
-  }
-  if (n == "wsjf" || n == "smith") {
-    return std::make_unique<ConservativePolicy>(ConservativeOrder::kSmithRule);
-  }
-  if (n == "periodic") {
-    return std::make_unique<PeriodicPolicy>();
-  }
-  if (n == "plan_bf" || n == "plan-bf" || n == "planbf") {
-    return std::make_unique<PlanBfPolicy>();
-  }
-  return nullptr;
-}
-}  // namespace
-
-bool KnownPolicyName(const std::string& name) {
-  return TryMakePolicy(name) != nullptr;
-}
-
-bool IsPlanningPolicyName(const std::string& name) {
-  std::unique_ptr<IoPolicy> policy = TryMakePolicy(name);
-  return policy != nullptr && policy->WantsPlanning();
-}
-
 std::unique_ptr<IoPolicy> MakePolicy(const std::string& name) {
-  std::unique_ptr<IoPolicy> policy = TryMakePolicy(name);
-  if (policy == nullptr) {
+  const PolicyEntry* entry = FindEntry(name);
+  if (entry == nullptr) {
     throw std::invalid_argument("MakePolicy: unknown policy '" + name +
                                 "' (valid: " + PolicyNamesHelp() + ")");
   }
-  return policy;
+  return entry->make();
 }
 
 }  // namespace iosched::core

@@ -21,7 +21,7 @@
 
 namespace iosched::core {
 
-class PredictivePolicy final : public GreedyAdapter {
+class PredictivePolicy final : public IoPolicy {
  public:
   const std::string& name() const override;
   std::vector<RateGrant> Assign(std::span<const IoJobView> active,
@@ -32,7 +32,7 @@ class PredictivePolicy final : public GreedyAdapter {
   static constexpr double kMaxHeadroomFraction = 0.5;
 
   /// The headroom (GB/s) the policy would reserve out of `max_bandwidth_gbps`
-  /// given the current prediction snapshot — GreedyAdapter::prediction(),
+  /// given the current prediction snapshot — IoPolicy::prediction(),
   /// refreshed by the framework each cycle while prediction is enabled and
   /// all-default ("no prediction" = Cons-FCFS) otherwise. Exposed for
   /// tests: predicted imminent volume spread over the horizon, capped at

@@ -124,20 +124,6 @@ class Engine {
     io_scheduler_.SetRetryConfig(config.transfer_retry);
     io_scheduler_.ConfigurePrediction(config.prediction);
     io_scheduler_.ConfigureFlushScheduling(config.app_checkpoint);
-    io_scheduler_.ConfigurePlanning(config.plan);
-    if (io_scheduler_.policy().WantsPlanning()) {
-      // Reservation-aware backfill (PLAN_BF): after the geometric EASY
-      // probe passes, the planning policy may veto a candidate whose bursts
-      // would not fit the buffer's projected free capacity at shadow time,
-      // net of the absorb promises already on its table.
-      batch_.SetBackfillAdmission(
-          [this](const workload::Job& job, sim::SimTime now,
-                 sim::SimTime shadow) {
-            double projected =
-                backend_->ProjectedFreeCapacityGb(now, shadow);
-            return io_scheduler_.policy().AdmitBackfill(job, now, projected);
-          });
-    }
     if (config_.track_bandwidth) {
       io_scheduler_.SetBandwidthTracker(&bandwidth_tracker_);
     }
@@ -295,8 +281,6 @@ class Engine {
     result.events_processed = simulator_.processed_events();
     result.io_scheduling_cycles = io_scheduler_.cycles();
     result.policy_name = io_scheduler_.policy().name();
-    result.plan_replans = io_scheduler_.replans();
-    result.plan_wall_seconds = io_scheduler_.plan_wall_seconds();
     result.checkpoints_written = checkpoints_written_;
     result.resumed_from = resumed_from_;
     return result;
@@ -1365,11 +1349,6 @@ std::vector<ConfigIssue> SimulationConfig::Validate() const {
                       PolicyNamesHelp() + ")");
   }
 
-  {
-    std::string err = plan.Validate();
-    if (!err.empty()) add("plan", std::move(err));
-  }
-
   if (warmup_fraction < 0 || warmup_fraction >= 1) {
     add("warmup_fraction", "must be in [0, 1)");
   }
@@ -1446,7 +1425,7 @@ std::vector<ConfigIssue> SimulationConfig::Validate() const {
         "carved out of the PFS budget)");
   }
 
-  const faults::FaultPlanConfig& fp = faults.plan_config;
+  const faults::FaultPlanParams& fp = faults.plan_config;
   if (fp.degraded_fraction < 0 || fp.degraded_fraction >= 1) {
     add("faults.plan_config.degraded_fraction", "must be in [0, 1)");
   }
@@ -1576,15 +1555,6 @@ std::uint64_t SimulationConfigHash(const SimulationConfig& config,
   // check_invariants is deliberately excluded: the checker is read-only.
   // Policy + engine switches that shape the schedule.
   h = MixStr(h, config.policy);
-  // Replan cadence: shapes the schedule (and checkpoint plan section) only
-  // under a planning policy. Mixing it conditionally keeps every greedy
-  // config hash identical to pre-planning builds, so their checkpoints stay
-  // mutually resumable.
-  if (IsPlanningPolicyName(config.policy)) {
-    h = FnvMix(h, config.plan.window_seconds);
-    h = FnvMix(h, config.plan.slice_seconds);
-    h = FnvMix(h, config.plan.churn_cycles);
-  }
   h = FnvMix(h, static_cast<std::uint64_t>(config.track_bandwidth));
   h = FnvMix(h, static_cast<std::uint64_t>(config.enforce_walltime));
   // Burst buffer. The congestion watermark is deliberately excluded: it
@@ -1595,7 +1565,7 @@ std::uint64_t SimulationConfigHash(const SimulationConfig& config,
   h = FnvMix(h, config.burst_buffer.per_job_quota_gb);
   // Faults: generation parameters and the explicit plan both pin the
   // schedule.
-  const faults::FaultPlanConfig& fp = config.faults.plan_config;
+  const faults::FaultPlanParams& fp = config.faults.plan_config;
   h = FnvMix(h, static_cast<std::uint64_t>(fp.enabled));
   h = FnvMix(h, fp.seed);
   h = FnvMix(h, fp.degraded_fraction);

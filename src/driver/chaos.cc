@@ -26,9 +26,9 @@ constexpr std::uint64_t kChaosStream = 41;
 /// model exposes is exercised somewhere across the soak: storage
 /// degradations, midplane outages, mid-run kills, lossy and lossless BB
 /// capacity faults, drain degradations, and transfer stragglers.
-faults::FaultPlanConfig DrawPlanConfig(std::uint64_t seed) {
+faults::FaultPlanParams DrawFaultParams(std::uint64_t seed) {
   util::Rng rng(seed, kChaosStream);
-  faults::FaultPlanConfig fp;
+  faults::FaultPlanParams fp;
   fp.enabled = true;
   fp.seed = seed;
   fp.degraded_fraction = rng.Uniform(0.0, 0.3);
@@ -66,7 +66,7 @@ Scenario MakeChaosScenario(std::uint64_t seed, const ChaosOptions& options) {
                                   .absorb_gbps = 2.0,
                                   .per_job_quota_gb = 0.0,
                                   .congestion_watermark = 0.8};
-  scenario.config.faults.plan_config = DrawPlanConfig(seed);
+  scenario.config.faults.plan_config = DrawFaultParams(seed);
   scenario.config.transfer_retry = {.timeout_seconds = 900.0,
                                     .max_retries = 3,
                                     .backoff_base_seconds = 30.0,
@@ -147,11 +147,7 @@ ChaosSummary RunChaos(const ChaosOptions& options) {
     throw std::invalid_argument("RunChaos: schedules must be positive");
   }
   std::vector<std::string> policies = options.policies;
-  if (policies.empty()) {
-    policies = core::AllPolicyNames();
-    const std::vector<std::string>& planners = core::PlanningPolicyNames();
-    policies.insert(policies.end(), planners.begin(), planners.end());
-  }
+  if (policies.empty()) policies = core::AllPolicyNames();
   for (const std::string& policy : policies) {
     core::MakePolicy(policy);  // throws on unknown names before any run
   }

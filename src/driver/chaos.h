@@ -1,7 +1,7 @@
 // Seeded chaos soak: randomized fault schedules against every policy with
 // the invariant checker on.
 //
-// Each schedule index deterministically derives a FaultPlanConfig (storage
+// Each schedule index deterministically derives a FaultPlanParams (storage
 // degradations, midplane outages, job kills, burst-buffer capacity faults,
 // drain degradations, transfer stragglers) from the base seed, then runs a
 // reduced-scale scenario under every policy with from-scratch invariant
@@ -26,8 +26,8 @@ struct ChaosOptions {
   /// Reduced-scale scenario knobs (Small machine; see MakeTestScenario).
   double duration_days = 0.25;
   double jobs_per_day = 240.0;
-  /// Policies to exercise; empty = every policy the factory builds, the
-  /// planning family included.
+  /// Policies to exercise; empty = every policy in the factory registry,
+  /// in registry order.
   std::vector<std::string> policies;
   /// Re-run each cell with the same seed and require a bit-identical
   /// record digest.

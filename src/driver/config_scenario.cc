@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string_view>
 
 #include "faults/fault_plan.h"
 #include "sched/queue_policy.h"
@@ -20,9 +21,39 @@ double RequirePositive(const util::Config& config, const std::string& key,
   }
   return value;
 }
+
+/// Every section ScenarioFromConfig reads.
+constexpr std::string_view kSections[] = {
+    "machine",    "storage",        "burst_buffer",   "batch",
+    "faults",     "app_checkpoint", "transfer_retry", "prediction",
+    "simulation", "obs",            "checkpoint",     "policy",
+    "workload"};
+
+/// A key outside the sections above would be silently ignored, so a stale
+/// block or a misspelled section header fails loudly instead.
+void RejectUnknownSections(const util::Config& config) {
+  for (const std::string& key : config.Keys()) {
+    std::size_t dot = key.find('.');
+    std::string_view section =
+        dot == std::string::npos ? std::string_view()
+                                 : std::string_view(key).substr(0, dot);
+    bool known = false;
+    for (std::string_view s : kSections) known = known || s == section;
+    if (!known) {
+      std::string sections;
+      for (std::string_view s : kSections) {
+        sections += sections.empty() ? "" : ", ";
+        sections += s;
+      }
+      throw std::runtime_error("config: unknown key '" + key +
+                               "' (known sections: " + sections + ")");
+    }
+  }
+}
 }  // namespace
 
 Scenario ScenarioFromConfig(const util::Config& config) {
+  RejectUnknownSections(config);
   Scenario scenario;
 
   // Machine.
@@ -65,7 +96,7 @@ Scenario ScenarioFromConfig(const util::Config& config) {
 
   // Fault injection (off unless [faults] enabled=true).
   {
-    faults::FaultPlanConfig& fp = scenario.config.faults.plan_config;
+    faults::FaultPlanParams& fp = scenario.config.faults.plan_config;
     fp.enabled = config.GetBoolOr("faults.enabled", false);
     fp.seed = static_cast<std::uint64_t>(config.GetIntOr("faults.seed", 1));
     fp.degraded_fraction = config.GetDoubleOr("faults.degraded_fraction", 0.0);
@@ -203,25 +234,9 @@ Scenario ScenarioFromConfig(const util::Config& config) {
   }
 
   // Policy & simulation knobs. The name is validated (against the factory
-  // registry, which covers the planning family too) by
-  // SimulationConfig::Validate at run time.
+  // registry) by SimulationConfig::Validate at run time.
   scenario.config.policy = config.GetStringOr("policy.name", "BASE_LINE");
 
-  // Planning cadence ([plan], used only by PERIODIC / PLAN_BF; greedy
-  // policies ignore it and it stays out of their config hashes).
-  {
-    core::PlanConfig& plan = scenario.config.plan;
-    plan.window_seconds =
-        config.GetDoubleOr("plan.window_seconds", plan.window_seconds);
-    plan.slice_seconds =
-        config.GetDoubleOr("plan.slice_seconds", plan.slice_seconds);
-    long long churn = config.GetIntOr(
-        "plan.churn_cycles", static_cast<long long>(plan.churn_cycles));
-    if (churn < 0) {
-      throw std::runtime_error("config: 'plan.churn_cycles' must be >= 0");
-    }
-    plan.churn_cycles = static_cast<std::uint64_t>(churn);
-  }
   scenario.config.enforce_walltime =
       config.GetBoolOr("simulation.enforce_walltime", false);
   scenario.config.warmup_fraction =

@@ -2,7 +2,10 @@
 // from an INI configuration file, so experiments are reproducible from a
 // checked-in config instead of code edits.
 //
-// Recognized keys (all optional; defaults in parentheses):
+// Recognized keys (all optional; defaults in parentheses). A key in any
+// other section is rejected with an error naming it. The [app_checkpoint],
+// [transfer_retry] and [prediction] keys are documented in
+// configs/example.ini.
 //
 //   [machine]
 //   preset = mira | intrepid | small (mira)
@@ -16,12 +19,7 @@
 //   easy_backfill = <bool>           (true)
 //
 //   [policy]
-//   name = BASE_LINE | ... | ADAPTIVE | PERIODIC | PLAN_BF (BASE_LINE)
-//
-//   [plan]                             # planning policies only
-//   window_seconds = <double>        (600)   # replan horizon
-//   slice_seconds = <double>         (30)    # PERIODIC pattern slice
-//   churn_cycles = <int>             (0 = off) # replan after N cycles
+//   name = BASE_LINE | ... | ADAPTIVE | ... | WSJF (BASE_LINE)
 //
 //   [burst_buffer]
 //   capacity_gb = <double>           (0 = disabled)

@@ -52,7 +52,7 @@ std::string FaultPlan::Validate() const {
   return "";
 }
 
-std::string FaultPlanConfig::Validate() const {
+std::string FaultPlanParams::Validate() const {
   if (degraded_fraction < 0 || degraded_fraction >= 1.0) {
     return "degraded_fraction must be in [0, 1)";
   }
@@ -91,7 +91,7 @@ std::string FaultPlanConfig::Validate() const {
   return "";
 }
 
-FaultPlan BuildFaultPlan(const FaultPlanConfig& config, double horizon_seconds,
+FaultPlan BuildFaultPlan(const FaultPlanParams& config, double horizon_seconds,
                          int total_midplanes) {
   std::string err = config.Validate();
   if (!err.empty()) throw std::invalid_argument("BuildFaultPlan: " + err);

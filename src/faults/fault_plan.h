@@ -7,7 +7,7 @@
 // fault-free model: file servers transiently underperform (RAID rebuilds,
 // failover, contention from outside the machine), midplanes are drained for
 // service, and jobs die mid-run. A plan is either written explicitly (tests,
-// targeted experiments) or generated from a FaultPlanConfig with a seed, so
+// targeted experiments) or generated from a FaultPlanParams with a seed, so
 // the same seed always yields byte-identical fault schedules.
 #pragma once
 
@@ -97,7 +97,7 @@ struct FaultPlan {
 };
 
 /// Parameters for deterministic plan generation.
-struct FaultPlanConfig {
+struct FaultPlanParams {
   bool enabled = false;
   std::uint64_t seed = 1;
   /// Target fraction of the horizon with degraded storage, in [0, 1).
@@ -141,7 +141,7 @@ struct FaultPlanConfig {
 /// allows); outages pick a uniform midplane and start time. Deterministic:
 /// the same (config, horizon, total_midplanes) triple always produces the
 /// same plan. Throws std::invalid_argument on invalid config.
-FaultPlan BuildFaultPlan(const FaultPlanConfig& config,
+FaultPlan BuildFaultPlan(const FaultPlanParams& config,
                          double horizon_seconds, int total_midplanes);
 
 /// What a requeued job re-runs after a mid-run kill.
@@ -168,7 +168,7 @@ const char* ToString(RestartMode mode);
 /// (which wins when non-empty) or generation parameters, plus the restart
 /// semantics for requeued jobs.
 struct FaultOptions {
-  FaultPlanConfig plan_config;
+  FaultPlanParams plan_config;
   FaultPlan explicit_plan;
   RestartMode restart_mode = RestartMode::kResumeFromLastPhase;
 

@@ -160,15 +160,6 @@ std::vector<StartDecision> BatchScheduler::Schedule(sim::SimTime now) {
     sim::SimTime end = now + job->requested_walltime;
     MarkBusy(*partition, end);
     if (BackfillOk(*job, *blocked_head, now, shadow)) {
-      // Geometry says the backfill cannot delay the reservation; an
-      // installed admission hook (reservation-aware planning policies) may
-      // still veto it on projected storage pressure. A veto is not a
-      // capacity failure, so min_failed_block_nodes stays untouched.
-      if (backfill_admission_ && !backfill_admission_(*job, now, shadow)) {
-        if (hub_ != nullptr) hub_->backfill_denials->Inc();
-        machine_.Release(*partition);
-        continue;
-      }
       if (hub_ != nullptr) hub_->backfill_starts->Inc();
       decisions.push_back(StartDecision{job, *partition});
       running_.emplace(job->id, RunningJob{job, *partition, now, end});

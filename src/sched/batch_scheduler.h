@@ -114,17 +114,6 @@ class BatchScheduler {
   /// scheduler or be detached first.
   void SetObs(obs::Hub* hub) { hub_ = hub; }
 
-  /// Admission check consulted for each backfill candidate AFTER the
-  /// geometric EASY probe passed: (job, now, shadow_time) -> may it start?
-  /// Used by reservation-aware planning policies to veto backfills whose
-  /// I/O bursts would not fit the projected burst-buffer capacity. Null
-  /// (the default) admits everything — classic EASY. Must be deterministic.
-  using BackfillAdmission = std::function<bool(
-      const workload::Job&, sim::SimTime, sim::SimTime)>;
-  void SetBackfillAdmission(BackfillAdmission admission) {
-    backfill_admission_ = std::move(admission);
-  }
-
   std::size_t queue_size() const { return queue_.size(); }
   std::size_t running_count() const { return running_.size(); }
   /// Comparator invocations consumed by the most recent incremental-order
@@ -207,7 +196,6 @@ class BatchScheduler {
   /// Backoff gate: queued jobs absent from this map are always eligible.
   std::unordered_map<workload::JobId, sim::SimTime> eligible_after_;
   util::Rng jitter_rng_;
-  BackfillAdmission backfill_admission_;
   obs::Hub* hub_ = nullptr;
 };
 

@@ -98,7 +98,7 @@ TEST(InvariantSimulationTest, CheckerIsDigestNeutralUnderChaos) {
   scenario.config.burst_buffer = {.capacity_gb = 2000.0,
                                   .drain_gbps = 4.0,
                                   .absorb_gbps = 2.0};
-  faults::FaultPlanConfig& fp = scenario.config.faults.plan_config;
+  faults::FaultPlanParams& fp = scenario.config.faults.plan_config;
   fp.enabled = true;
   fp.seed = 5;
   fp.degraded_fraction = 0.2;

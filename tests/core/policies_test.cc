@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/adaptive_policy.h"
 #include "core/baseline_policy.h"
 #include "core/conservative_policy.h"
 #include "core/policy_factory.h"
+#include "core/simulation.h"
+#include "driver/scenario.h"
+#include "metrics/digest.h"
 
 namespace iosched::core {
 namespace {
@@ -372,20 +376,21 @@ TEST(PolicyFactory, BuildsExtensionPolicies) {
   EXPECT_EQ(MakePolicy("BASE_LINE_MAXMIN")->name(), "BASE_LINE_MAXMIN");
 }
 
-// Help text, sweeps and the chaos soak iterate the name lists, so every
-// policy the factory builds must appear in exactly one of them.
+// Every name and alias in the registry builds the policy it is listed
+// under, and the name list help text and sweeps iterate is the registry's.
 TEST(PolicyFactory, ListsEveryBuildablePolicy) {
-  std::vector<std::string> listed = AllPolicyNames();
-  listed.insert(listed.end(), PlanningPolicyNames().begin(),
-                PlanningPolicyNames().end());
-  for (const char* alias :
-       {"baseline", "maxmin", "cons_fcfs", "cons_maxutil", "cons_mininstsld",
-        "cons_minaggrsld", "adaptive", "cons_predictive",
-        "predictive-adaptive", "sjf", "smith", "periodic", "planbf"}) {
-    std::string name = MakePolicy(alias)->name();
-    EXPECT_EQ(std::count(listed.begin(), listed.end(), name), 1) << alias;
+  std::vector<std::string> listed;
+  for (const PolicyEntry& entry : PolicyRegistry()) {
+    listed.emplace_back(entry.name);
+    EXPECT_EQ(MakePolicy(entry.name)->name(), entry.name);
+    EXPECT_TRUE(KnownPolicyName(entry.name));
+    for (const char* alias : entry.aliases) {
+      EXPECT_EQ(MakePolicy(alias)->name(), entry.name) << alias;
+      EXPECT_TRUE(KnownPolicyName(alias)) << alias;
+    }
   }
-  EXPECT_EQ(listed.size(), 13u);
+  EXPECT_EQ(listed, AllPolicyNames());
+  EXPECT_EQ(listed.size(), 11u);
 }
 
 TEST(PolicyFactory, UnknownThrows) {
@@ -457,15 +462,7 @@ TEST_P(PolicyPropertySweep, GrantsAlwaysFeasible) {
       v.transferred_gb = (x % 3 == 0) ? volume * 0.25 : 0.0;
       active.push_back(v);
     }
-    // Drive through the two-phase API, as the framework does.
-    CycleInputs inputs;
-    PlanContext ctx;
-    ctx.active = active;
-    ctx.inputs = &inputs;
-    ctx.max_bandwidth_gbps = kBwMax;
-    ctx.now = 100.0;
-    policy->Plan(ctx);
-    auto grants = policy->Execute(ctx, PlanCursor{seed, 100.0, 0});
+    auto grants = policy->Assign(active, kBwMax, 100.0);
     EXPECT_NO_THROW(ValidateGrants(active, grants));
     EXPECT_LE(TotalRate(grants), kBwMax + 1e-6);
     // At least one job must make progress (no deadlock).
@@ -477,6 +474,90 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyPropertySweep,
                          ::testing::Values("BASE_LINE", "FCFS", "MAX_UTIL",
                                            "MIN_INST_SLD", "MIN_AGGR_SLD",
                                            "ADAPTIVE"));
+
+// ------------------------------------------------------------ bound inputs
+
+/// The scheduler binds its CycleInputs to the policy once and rewrites that
+/// instance in place every cycle. Grant-level identity on randomized active
+/// sets and snapshots: a long-lived policy bound once grants exactly what a
+/// fresh policy bound to a copy of the current snapshot grants, so Assign
+/// reads the live snapshot and carries nothing from one cycle to the next.
+class AssignIdentity : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(AssignIdentity, BoundOnceEqualsFreshPolicyOnRandomSets) {
+  CycleInputs live;
+  auto bound = MakePolicy(GetParam());
+  bound->BindInputs(&live);
+
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int round = 0; round < 16; ++round) {
+    std::vector<IoJobView> active;
+    int count = 1 + static_cast<int>(x % 12);
+    for (int i = 0; i < count; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      double volume = 10.0 + static_cast<double>(x % 3000);
+      auto v = MakeView(i + 1, 512 << (x % 5), volume, static_cast<double>(i));
+      v.transferred_gb = (x % 4 == 0) ? volume * 0.5 : 0.0;
+      v.completed_compute_seconds = static_cast<double>(x % 500);
+      active.push_back(v);
+    }
+    // Odd rounds carry a deep burst-buffer backlog, a parked-flush backlog
+    // and an imminent predicted storm; even rounds are all-default.
+    bool loaded = round % 2 == 1;
+    live.tiers.bb_enabled = loaded;
+    live.tiers.bb_capacity_gb = loaded ? 1000.0 : 0.0;
+    live.tiers.bb_queued_gb = loaded ? 900.0 : 0.0;
+    live.prediction.enabled = loaded;
+    live.prediction.horizon_seconds = loaded ? 300.0 : 0.0;
+    live.prediction.imminent_rate_gbps = loaded ? kBwMax : 0.0;
+    live.prediction.imminent_volume_gb = loaded ? 300.0 * kBwMax : 0.0;
+    live.flush_backlog_gb = loaded ? 1e5 : 0.0;
+    live.flush_backlog_count = loaded ? 3 : 0;
+    double now = 100.0 + 10.0 * round;
+
+    CycleInputs snapshot = live;
+    auto fresh = MakePolicy(GetParam());
+    fresh->BindInputs(&snapshot);
+    auto via_bound = bound->Assign(active, kBwMax, now);
+    auto via_fresh = fresh->Assign(active, kBwMax, now);
+
+    ASSERT_EQ(via_bound.size(), via_fresh.size());
+    for (std::size_t i = 0; i < via_bound.size(); ++i) {
+      EXPECT_EQ(via_bound[i].id, via_fresh[i].id);
+      EXPECT_EQ(via_bound[i].rate_gbps, via_fresh[i].rate_gbps)
+          << GetParam() << " round " << round << " grant " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllGreedyPolicies, AssignIdentity,
+                         ::testing::ValuesIn(AllPolicyNames()));
+
+/// End-to-end anchor: the committed BENCH_core.json digests reproduce
+/// bit-exactly at month scale and on the year-smoke cut.
+TEST(AssignIdentity, MonthAndYearSmokeDigestsMatchCommittedBaseline) {
+  struct Pin {
+    const char* policy;
+    bool year;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"BASE_LINE", false, 0x30aa04fbe9c4f621ULL},
+      {"MAX_UTIL", false, 0x6324b0a506e151d7ULL},
+      {"ADAPTIVE", false, 0xb209a3c0d8cf61bcULL},
+      {"BASE_LINE", true, 0xe81a513c1dbc34d4ULL},  // YEAR_SMOKE
+  };
+  for (const Pin& pin : pins) {
+    driver::Scenario scenario = pin.year
+                                    ? driver::MakeYearScenario(5.0)
+                                    : driver::MakeEvaluationScenario(1, 30.0);
+    SimulationConfig config = scenario.config;
+    config.policy = pin.policy;
+    SimulationResult result = RunSimulation(config, scenario.jobs);
+    EXPECT_EQ(metrics::DigestRecords(result.records), pin.digest)
+        << pin.policy << (pin.year ? " (year smoke)" : " (month)");
+  }
+}
 
 }  // namespace
 }  // namespace iosched::core

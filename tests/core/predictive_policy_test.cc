@@ -38,15 +38,6 @@ std::vector<double> Rates(const std::vector<core::RateGrant>& grants) {
   return out;
 }
 
-// Latch a CycleInputs into the policy the way the framework does: Plan
-// pins the pointer, after which the accessors read the live snapshot.
-// `inputs` must outlive the policy's use of it.
-void Deliver(core::GreedyAdapter& policy, const core::CycleInputs& inputs) {
-  core::PlanContext ctx;
-  ctx.inputs = &inputs;
-  policy.Plan(ctx);
-}
-
 TEST(PredictivePolicy, FactoryBuildsBothPolicies) {
   EXPECT_EQ(core::MakePolicy("PREDICTIVE")->name(), "PREDICTIVE");
   EXPECT_EQ(core::MakePolicy("predictive_adaptive")->name(),
@@ -73,7 +64,7 @@ TEST(PredictivePolicy, NoSignalMatchesConsFcfsGrants) {
   core::CycleInputs inputs;
   inputs.prediction.enabled = true;
   inputs.prediction.horizon_seconds = 300.0;
-  Deliver(no_signal, inputs);
+  no_signal.BindInputs(&inputs);
   EXPECT_EQ(Rates(no_signal.Assign(active, 100.0, 10.0)), expected);
 }
 
@@ -86,7 +77,7 @@ TEST(PredictivePolicy, ReservedHeadroomSpreadsImminentVolumeOverHorizon) {
   ps.enabled = true;
   ps.horizon_seconds = 300.0;
   ps.imminent_volume_gb = 3000.0;
-  Deliver(policy, inputs);
+  policy.BindInputs(&inputs);
   EXPECT_DOUBLE_EQ(policy.ReservedHeadroomGbps(100.0), 10.0);
 
   ps.imminent_volume_gb = 1e9;  // capped at half the channel
@@ -114,7 +105,7 @@ TEST(PredictivePolicy, ReservationDefersDiscretionaryAdmission) {
   inputs.prediction.enabled = true;
   inputs.prediction.horizon_seconds = 300.0;
   inputs.prediction.imminent_volume_gb = 6000.0;
-  Deliver(policy, inputs);
+  policy.BindInputs(&inputs);
   std::vector<double> reserved = Rates(policy.Assign(active, 100.0, 10.0));
   EXPECT_EQ(reserved, (std::vector<double>{60.0, 0.0}));
 }
@@ -129,7 +120,7 @@ TEST(PredictivePolicy, StarvationGuardIsReservationProof) {
   inputs.prediction.enabled = true;
   inputs.prediction.horizon_seconds = 300.0;
   inputs.prediction.imminent_volume_gb = 1e9;
-  Deliver(policy, inputs);
+  policy.BindInputs(&inputs);
   std::vector<double> grants = Rates(policy.Assign(active, 100.0, 10.0));
   EXPECT_EQ(grants, (std::vector<double>{90.0}));
 }
@@ -156,12 +147,12 @@ TEST(PredictiveAdaptivePolicy, StormDeferralBlocksOveradmission) {
   storm.prediction.enabled = true;
   storm.prediction.horizon_seconds = 300.0;
   storm.prediction.imminent_rate_gbps = 60.0;  // >= 0.5 * BWmax
-  Deliver(predictive, storm);
+  predictive.BindInputs(&storm);
   std::vector<double> deferred = Rates(predictive.Assign(active, 100.0, 10.0));
   EXPECT_EQ(deferred, (std::vector<double>{80.0, 0.0}));
 
   // Plain ADAPTIVE must ignore prediction snapshots entirely.
-  Deliver(plain, storm);
+  plain.BindInputs(&storm);
   EXPECT_EQ(Rates(plain.Assign(active, 100.0, 10.0)), shared);
 }
 

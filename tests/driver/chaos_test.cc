@@ -23,9 +23,7 @@ ChaosOptions SmallSoak() {
 TEST(ChaosTest, SmallSoakIsCleanAndCoversEveryCell) {
   ChaosOptions options = SmallSoak();
   ChaosSummary summary = RunChaos(options);
-  EXPECT_EQ(summary.cells.size(),
-            2 * (core::AllPolicyNames().size() +
-                 core::PlanningPolicyNames().size()));
+  EXPECT_EQ(summary.cells.size(), 2 * core::AllPolicyNames().size());
   EXPECT_EQ(summary.failures, 0);
   EXPECT_TRUE(summary.ok());
   for (const ChaosCell& cell : summary.cells) {

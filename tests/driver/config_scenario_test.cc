@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/simulation.h"
 
 namespace iosched::driver {
@@ -150,6 +153,40 @@ TEST(ConfigScenario, InvalidValuesThrow) {
   EXPECT_THROW(ScenarioFromConfig(util::Config::FromString(
                    "[batch]\norder = lifo\n")),
                std::invalid_argument);
+}
+
+// A key in a section the builder does not read would otherwise be ignored
+// without a word; the error names the key.
+TEST(ConfigScenario, UnknownSectionsAreRejectedByKey) {
+  auto error_for = [](const char* text) -> std::string {
+    try {
+      ScenarioFromConfig(util::Config::FromString(text));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // A stale planning block from older configs.
+  std::string plan = error_for(
+      "[plan]\nwindow_seconds = 600\n[workload]\ndays = 0.1\n");
+  EXPECT_NE(plan.find("'plan.window_seconds'"), std::string::npos) << plan;
+  // A misspelled section header.
+  std::string typo = error_for(
+      "[burstbuffer]\ncapacity_gb = 100\n[workload]\ndays = 0.1\n");
+  EXPECT_NE(typo.find("'burstbuffer.capacity_gb'"), std::string::npos)
+      << typo;
+  // A key before any section header.
+  std::string root = error_for("days = 0.1\n");
+  EXPECT_NE(root.find("'days'"), std::string::npos) << root;
+}
+
+TEST(ConfigScenario, CheckedInConfigsUseOnlyKnownSections) {
+  for (const char* name : {"example.ini", "faults.ini"}) {
+    util::Config config = util::Config::FromFile(
+        std::string(IOSCHED_SOURCE_DIR) + "/configs/" + name);
+    config.Set("workload.days", "0.1");
+    EXPECT_NO_THROW(ScenarioFromConfig(config)) << name;
+  }
 }
 
 TEST(ConfigScenario, ConfiguredScenarioRuns) {

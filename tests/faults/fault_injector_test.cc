@@ -37,7 +37,7 @@ TEST(FaultPlanTest, EmptyDetectsAnyComponent) {
 }
 
 TEST(BuildFaultPlanTest, SameSeedYieldsIdenticalPlan) {
-  FaultPlanConfig config;
+  FaultPlanParams config;
   config.enabled = true;
   config.seed = 42;
   config.degraded_fraction = 0.2;
@@ -69,7 +69,7 @@ TEST(BuildFaultPlanTest, SameSeedYieldsIdenticalPlan) {
 }
 
 TEST(BuildFaultPlanTest, DegradedTimeMatchesRequestedFraction) {
-  FaultPlanConfig config;
+  FaultPlanParams config;
   config.enabled = true;
   config.degraded_fraction = 0.25;
   config.degraded_window_seconds = 3600.0;
@@ -86,7 +86,7 @@ TEST(BuildFaultPlanTest, DegradedTimeMatchesRequestedFraction) {
 }
 
 TEST(BuildFaultPlanTest, RejectsInvalidConfig) {
-  FaultPlanConfig config;
+  FaultPlanParams config;
   config.degraded_fraction = 1.5;
   EXPECT_THROW(BuildFaultPlan(config, 3600.0, 8), std::invalid_argument);
   config.degraded_fraction = 0.0;

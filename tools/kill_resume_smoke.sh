@@ -90,14 +90,4 @@ run_case year simulate --workload 1 --days 365 --policy PREDICTIVE_ADAPTIVE \
 run_case storm simulate --workload 1 --days 120 --policy ADAPTIVE \
     --app-ckpt-mtbf 7200 --bb-capacity 8192 --bb-drain 50
 
-# Mid-window kill of a planning policy: event-count checkpoints land the
-# snapshot inside a PLAN_BF planning window essentially always, so the
-# standing reservation table, its absorb promises, and the drain/capacity
-# prices backfill admission uses must all restore bit-exactly — a resumed
-# run that rebuilt its plan instead of restoring it would replan on a
-# different cadence and diverge.
-run_case plan simulate --workload 1 --days 180 --policy PLAN_BF \
-    --predict oracle --bb-capacity 4096 --bb-drain 50 \
-    --plan-window 600 --plan-slice 30
-
 echo "PASS: all kill/resume cases are byte-identical to their references"
