@@ -15,7 +15,7 @@ int main() {
     double base = runs.front().report.utilization;
     for (const auto& run : runs) {
       double normalized = base > 0 ? run.report.utilization / base : 0.0;
-      // Prediction-aware policies have no paper series; leave the cell blank.
+      // Policies beyond the paper have no paper series; leave the cell blank.
       auto series = paper.find(run.policy);
       table.AddRow(
           {run.policy,

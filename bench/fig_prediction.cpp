@@ -1,286 +1,54 @@
-// Prediction figure: how much does predicting I/O behaviour help, and is
-// the learned predictor honest?
+// Prediction figure: how well does the offline I/O-behaviour predictor
+// forecast a job's I/O from its provenance?
 //
-// Three sections, all on the month-1 evaluation workload:
-//   accuracy       prequential (predict-before-observe) io_fraction MAE for
-//                  the null, learned, and oracle predictors. The learned
-//                  number must land strictly between the bounds.
-//   replays        prediction-off replays of the BENCH_core.json scenarios;
-//                  their digests must stay bit-identical to the pinned
-//                  baseline (prediction is a strict no-op when disabled).
-//   policy deltas  avg wait / bounded slowdown of PREDICTIVE vs its FCFS
-//                  base and PREDICTIVE_ADAPTIVE vs ADAPTIVE, under each
-//                  prediction mode.
+// Prequential io_fraction MAE (each job predicted before the predictor
+// observes it) on the month-1 evaluation workload for three predictors:
+// null (always "no signal", the upper bound), learned (the hierarchical
+// EWMA predictor), and oracle (the job's own profile, MAE 0 by
+// construction). The predictor is a model, not
+// a scheduling input; tests/core/predictor_test.cc checks that the learned
+// MAE lands strictly between the bounds.
 //
-// Run with
-//   fig_prediction --json=OUT.json [--replay-days=30]
-//                  [--baseline=BENCH_core.json]
-// Exit 1 when a digest diverges from the baseline. tools/check_prediction_fig.py
-// gates CI on the emitted JSON.
-#include <chrono>
+// Run with fig_prediction (IOSCHED_BENCH_DAYS=<n> shortens the month).
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "core/predictor.h"
-#include "core/simulation.h"
-#include "driver/experiment.h"
-#include "driver/scenario.h"
-#include "metrics/digest.h"
-#include "util/atomic_file.h"
-#include "util/units.h"
+#include "figure_common.h"
 
-namespace {
+int main() {
+  using namespace iosched;
+  driver::Scenario month =
+      driver::MakeEvaluationScenario(1, bench::BenchDays());
+  const workload::Workload& jobs = month.jobs;
+  double node_bw = month.config.machine.node_bandwidth_gbps;
 
-using namespace iosched;
-using Clock = std::chrono::steady_clock;
-
-struct AccuracyResult {
-  std::string mode;
-  double mae_fraction = 0.0;
-  std::size_t evaluated = 0;
-  std::size_t cold_jobs = 0;
-};
-
-struct ReplayResult {
-  std::string name;
-  double seconds = 0.0;
-  std::string digest;
-};
-
-struct DeltaResult {
-  std::string mode;
-  std::string policy;
-  std::string baseline_policy;
-  double wait_minutes = 0.0;
-  double baseline_wait_minutes = 0.0;
-  double slowdown = 0.0;
-  double baseline_slowdown = 0.0;
-};
-
-/// Prequential accuracy of all three modes over the same workload. The null
-/// predictor always answers "no signal" (io_fraction 0), the oracle reads
-/// the true profile, so their MAEs bound what any learner can do.
-std::vector<AccuracyResult> RunAccuracy(const driver::Scenario& scenario) {
-  std::vector<AccuracyResult> out;
-  double node_bw = scenario.config.machine.node_bandwidth_gbps;
-
-  AccuracyResult null_result;
-  null_result.mode = "null";
+  // The null predictor answers io_fraction 0 for every job.
   double null_total = 0.0;
-  for (const workload::Job& job : scenario.jobs) {
+  for (const workload::Job& job : jobs) {
     null_total += std::abs(job.IoFraction(node_bw));
   }
-  null_result.evaluated = scenario.jobs.size();
-  null_result.cold_jobs = scenario.jobs.size();
-  if (!scenario.jobs.empty()) {
-    null_result.mae_fraction =
-        null_total / static_cast<double>(scenario.jobs.size());
-  }
-  out.push_back(null_result);
+  double null_mae =
+      jobs.empty() ? 0.0 : null_total / static_cast<double>(jobs.size());
 
   core::IoBehaviorPredictor::Options opts;
   opts.node_bandwidth_gbps = node_bw;
   core::IoBehaviorPredictor predictor(opts);
   core::PrequentialResult learned =
-      core::EvaluatePrequential(predictor, scenario.jobs, node_bw);
-  out.push_back({"learned", learned.mae_fraction, learned.evaluated,
-                 learned.cold_jobs});
+      core::EvaluatePrequential(predictor, jobs, node_bw);
 
-  // The oracle predicts each job's own profile: MAE 0 by construction.
-  out.push_back({"oracle", 0.0, scenario.jobs.size(), 0});
-
-  for (const AccuracyResult& r : out) {
-    std::printf("accuracy %-8s mae=%.4f evaluated=%zu cold=%zu\n",
-                r.mode.c_str(), r.mae_fraction, r.evaluated, r.cold_jobs);
-  }
-  return out;
-}
-
-ReplayResult RunReplay(const std::string& name, driver::Scenario scenario,
-                       const char* policy) {
-  core::SimulationConfig config = scenario.config;
-  config.policy = policy;
-  config.prediction = core::PredictionConfig{};  // explicitly off
-  ReplayResult result;
-  result.name = name;
-  auto t0 = Clock::now();
-  core::SimulationResult sim = core::RunSimulation(config, scenario.jobs);
-  auto t1 = Clock::now();
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.digest = metrics::HexDigest(metrics::DigestRecords(sim.records));
-  std::printf("replay %-10s %8.2f s  %s\n", name.c_str(), result.seconds,
-              result.digest.c_str());
-  return result;
-}
-
-/// Read the "digest" pinned for each replay name in a BENCH_core.json.
-/// Same line-based format micro_components emits; see its ReadBaselineReplays.
-std::string BaselineDigest(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::string needle = "\"name\": \"" + name + "\"";
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find(needle) == std::string::npos ||
-        line.find("\"digest\"") == std::string::npos ||
-        line.find("\"speedup\"") != std::string::npos) {
-      continue;
-    }
-    std::size_t k = line.find("\"digest\"");
-    std::size_t start = line.find('"', k + std::strlen("\"digest\"") + 1);
-    if (start == std::string::npos) return "";
-    std::size_t end = line.find('"', start + 1);
-    if (end == std::string::npos) return "";
-    return line.substr(start + 1, end - start - 1);
-  }
-  return "";
-}
-
-DeltaResult RunDelta(const driver::Scenario& scenario, const std::string& mode,
-                     const std::string& policy,
-                     const driver::PolicyRun& baseline) {
-  driver::Scenario predicted = scenario;
-  predicted.config.prediction.enabled = true;
-  predicted.config.prediction.mode = mode;
-  driver::PolicyRun run = driver::RunSingle(predicted, policy);
-  DeltaResult d;
-  d.mode = mode;
-  d.policy = policy;
-  d.baseline_policy = baseline.policy;
-  d.wait_minutes = util::SecondsToMinutes(run.report.avg_wait_seconds);
-  d.baseline_wait_minutes =
-      util::SecondsToMinutes(baseline.report.avg_wait_seconds);
-  d.slowdown = run.report.avg_bounded_slowdown;
-  d.baseline_slowdown = baseline.report.avg_bounded_slowdown;
-  std::printf("delta %-7s %-19s wait=%7.1f min (%s %7.1f)  "
-              "bsld=%6.2f (%6.2f)\n",
-              d.mode.c_str(), d.policy.c_str(), d.wait_minutes,
-              d.baseline_policy.c_str(), d.baseline_wait_minutes, d.slowdown,
-              d.baseline_slowdown);
-  return d;
-}
-
-/// Pull `--flag=value` out of argv; returns true (and strips it) on match.
-bool TakeFlag(int& argc, char** argv, const char* flag, std::string* value) {
-  std::string prefix = std::string(flag) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      *value = argv[i] + prefix.size();
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string json_path;
-  std::string baseline;
-  std::string days_str;
-  TakeFlag(argc, argv, "--json", &json_path);
-  TakeFlag(argc, argv, "--baseline", &baseline);
-  TakeFlag(argc, argv, "--replay-days", &days_str);
-  double days = days_str.empty() ? 30.0
-                                 : std::strtod(days_str.c_str(), nullptr);
-  if (days <= 0) {
-    std::fprintf(stderr, "bad --replay-days\n");
-    return 2;
-  }
-
-  driver::Scenario month = driver::MakeEvaluationScenario(1, days);
-  std::vector<AccuracyResult> accuracy = RunAccuracy(month);
-
-  // Prediction-off replays of the pinned BENCH_core.json scenarios: the
-  // subsystem must be a strict no-op when disabled.
-  std::vector<ReplayResult> replays;
-  for (const char* policy : {"BASE_LINE", "MAX_UTIL", "ADAPTIVE"}) {
-    replays.push_back(
-        RunReplay(policy, driver::MakeEvaluationScenario(1, days), policy));
-  }
-  replays.push_back(
-      RunReplay("YEAR_SMOKE", driver::MakeYearScenario(5.0), "BASE_LINE"));
-
-  bool digests_ok = true;
-  if (!baseline.empty()) {
-    for (const ReplayResult& r : replays) {
-      std::string pinned = BaselineDigest(baseline, r.name);
-      if (pinned.empty()) continue;
-      bool match = pinned == r.digest;
-      if (!match) digests_ok = false;
-      std::printf("vs baseline %-10s digest %s\n", r.name.c_str(),
-                  match ? "identical" : "CHANGED");
-    }
-  }
-
-  // Policy deltas: each prediction-aware policy against the policy it
-  // degrades to when prediction is off, under every mode.
-  driver::PolicyRun fcfs = driver::RunSingle(month, "FCFS");
-  driver::PolicyRun adaptive = driver::RunSingle(month, "ADAPTIVE");
-  std::vector<DeltaResult> deltas;
-  for (const char* mode : {"null", "learned", "oracle"}) {
-    deltas.push_back(RunDelta(month, mode, "PREDICTIVE", fcfs));
-    deltas.push_back(RunDelta(month, mode, "PREDICTIVE_ADAPTIVE", adaptive));
-  }
-
-  if (!json_path.empty()) {
-    util::AtomicFileWriter json_file(json_path);
-    std::ostream& out = json_file.stream();
-    char buf[512];
-    out << "{\n";
-    out << "  \"schema\": \"fig-prediction-v1\",\n";
-    std::snprintf(buf, sizeof(buf), "  \"replay_days\": %g,\n", days);
-    out << buf;
-    out << "  \"accuracy\": [\n";
-    for (std::size_t i = 0; i < accuracy.size(); ++i) {
-      const AccuracyResult& a = accuracy[i];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"mode\": \"%s\", \"mae_fraction\": %.6f, "
-                    "\"evaluated\": %zu, \"cold_jobs\": %zu}%s\n",
-                    a.mode.c_str(), a.mae_fraction, a.evaluated, a.cold_jobs,
-                    i + 1 < accuracy.size() ? "," : "");
-      out << buf;
-    }
-    out << "  ],\n";
-    out << "  \"replays\": [\n";
-    for (std::size_t i = 0; i < replays.size(); ++i) {
-      const ReplayResult& r = replays[i];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"name\": \"%s\", \"seconds\": %.4f, "
-                    "\"digest\": \"%s\"}%s\n",
-                    r.name.c_str(), r.seconds, r.digest.c_str(),
-                    i + 1 < replays.size() ? "," : "");
-      out << buf;
-    }
-    out << "  ],\n";
-    out << "  \"policy_deltas\": [\n";
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-      const DeltaResult& d = deltas[i];
-      std::snprintf(
-          buf, sizeof(buf),
-          "    {\"mode\": \"%s\", \"policy\": \"%s\", "
-          "\"baseline_policy\": \"%s\", \"wait_minutes\": %.2f, "
-          "\"baseline_wait_minutes\": %.2f, \"bounded_slowdown\": %.4f, "
-          "\"baseline_bounded_slowdown\": %.4f}%s\n",
-          d.mode.c_str(), d.policy.c_str(), d.baseline_policy.c_str(),
-          d.wait_minutes, d.baseline_wait_minutes, d.slowdown,
-          d.baseline_slowdown, i + 1 < deltas.size() ? "," : "");
-      out << buf;
-    }
-    out << "  ],\n";
-    std::snprintf(buf, sizeof(buf), "  \"digests_ok\": %s\n",
-                  digests_ok ? "true" : "false");
-    out << buf;
-    out << "}\n";
-    json_file.Commit();
-    std::printf("wrote %s%s\n", json_path.c_str(),
-                digests_ok ? "" : " (DIGEST MISMATCH)");
-  }
-  return digests_ok ? 0 : 1;
+  util::Table table({"predictor", "prequential MAE (io_fraction)",
+                     "evaluated", "cold jobs"});
+  auto row = [&table](const char* mode, double mae, std::size_t evaluated,
+                      std::size_t cold) {
+    table.AddRow({mode, util::Table::Num(mae, 4), std::to_string(evaluated),
+                  std::to_string(cold)});
+  };
+  row("null", null_mae, jobs.size(), jobs.size());
+  row("learned", learned.mae_fraction, learned.evaluated, learned.cold_jobs);
+  row("oracle", 0.0, jobs.size(), 0);
+  std::printf("I/O-behaviour prediction accuracy, WL1 (%g days)\n%s",
+              bench::BenchDays(), table.ToString().c_str());
+  return 0;
 }

@@ -82,7 +82,7 @@ inline void PrintTimeFigure(const char* figure, int workload_index,
   double base_paper = paper.at("BASE_LINE")[workload_index - 1];
   for (const auto& run : runs) {
     double measured = metric_seconds(run.report);
-    // Prediction-aware policies have no paper series; leave their paper
+    // Policies beyond the paper have no paper series; leave their paper
     // cells blank instead of throwing.
     auto series = paper.find(run.policy);
     std::string paper_cell = "-";

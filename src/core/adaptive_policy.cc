@@ -11,8 +11,7 @@ namespace iosched::core {
 
 const std::string& AdaptivePolicy::name() const {
   static const std::string kName = "ADAPTIVE";
-  static const std::string kPredictiveName = "PREDICTIVE_ADAPTIVE";
-  return predictive_ ? kPredictiveName : kName;
+  return kName;
 }
 
 void AdaptivePolicy::BindObs(obs::Hub* hub) {
@@ -231,16 +230,6 @@ std::vector<RateGrant> AdaptivePolicy::Assign(
       // every flush's durability point); defer like Cons-FCFS instead.
       continue;
     }
-    if (predictive_ && prediction().enabled &&
-        prediction().imminent_rate_gbps >=
-            kStormDeferralFraction * max_bandwidth_gbps) {
-      // Predicted burst storm: the forecast demand due within the horizon
-      // rivals the channel itself. Over-admitting now would stretch exactly
-      // the transfers the storm is about to pile onto; defer discretionary
-      // admissions like Cons-FCFS until the predicted pressure passes.
-      continue;
-    }
-
     // Lines 11-13: compare deferring J_i vs letting it compete.
     refresh_rates();
     sim::SimTime start_if_deferred = EarliestStartImpl(

@@ -16,7 +16,6 @@ std::string NameFor(ConservativeOrder order) {
     case ConservativeOrder::kMaxUtil: return "MAX_UTIL";
     case ConservativeOrder::kMinInstSld: return "MIN_INST_SLD";
     case ConservativeOrder::kMinAggrSld: return "MIN_AGGR_SLD";
-    case ConservativeOrder::kShortestFirst: return "SJF";
     case ConservativeOrder::kSmithRule: return "WSJF";
   }
   return "?";
@@ -84,18 +83,6 @@ std::vector<std::size_t> ConservativePriorityOrder(
         ranked[i].key = AggregateSlowdown(active[i], now);
       }
       sort_key_desc();
-      break;
-    case ConservativeOrder::kShortestFirst:
-      // Smallest remaining full-rate transfer time first.
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        ranked[i].key = active[i].RemainingGb() /
-                        std::max(active[i].full_rate_gbps, 1e-12);
-      }
-      std::sort(ranked.begin(), ranked.end(),
-                [&](const Ranked& a, const Ranked& b) {
-                  if (a.key != b.key) return a.key < b.key;
-                  return fcfs_less(a, b);
-                });
       break;
     case ConservativeOrder::kSmithRule:
       // Highest nodes-per-remaining-second first: Smith's rule with weight

@@ -29,11 +29,10 @@ enum class ConservativeOrder {
   kMinInstSld,  // Cons-MinInstSld
   kMinAggrSld,  // Cons-MinAggrSld
 
-  // Extensions beyond the paper (ablation subjects, see bench/):
-  kShortestFirst,  // SJF: smallest remaining transfer time first
-  kSmithRule,      // WSJF: highest N_i / remaining-time first — Smith's rule
-                   // for minimizing node-weighted completion, i.e. the rate
-                   // at which blocked partitions are released
+  // Extension beyond the paper (ablation subject, see bench/):
+  kSmithRule,  // WSJF: highest N_i / remaining-time first — Smith's rule
+               // for minimizing node-weighted completion, i.e. the rate
+               // at which blocked partitions are released
 };
 
 class ConservativePolicy final : public IoPolicy {

@@ -5,8 +5,8 @@
 // bandwidth grant per request: rate 0 suspends a job's I/O, a positive rate
 // lets it transfer. The decision is one call, Assign(active, BWmax, now),
 // made fresh every cycle; no policy carries a plan across cycles. What the
-// framework observes beyond the active set (storage tiers, predictions,
-// the parked-flush backlog) reaches the policy through the scheduler's
+// framework observes beyond the active set (storage tiers and the
+// parked-flush backlog) reaches the policy through the scheduler's
 // CycleInputs, bound once when the scheduler takes ownership of the policy.
 #pragma once
 
@@ -94,36 +94,6 @@ struct TierState {
   double drain_factor = 1.0;
 };
 
-/// One job's predicted next I/O burst, derived by the scheduler from the
-/// configured predictor (learned / oracle / null).
-struct PredictedBurst {
-  workload::JobId id = 0;
-  /// Seconds until the burst is expected to start (0 = due now).
-  sim::SimTime eta_seconds = 0.0;
-  /// Expected transfer rate once it starts (GB/s, efficiency-adjusted).
-  double rate_gbps = 0.0;
-  /// Expected volume of the burst (GB).
-  double volume_gb = 0.0;
-  /// Evidence behind the prediction (IoPrediction::support).
-  std::size_t support = 0;
-};
-
-/// Prediction snapshot refreshed once per scheduling cycle when prediction
-/// is enabled (all-default otherwise). Jobs whose prediction has support 0
-/// ("no signal") are omitted entirely, so an unseen-project job never
-/// biases a consumer toward treating it as I/O-free.
-struct PredictionState {
-  bool enabled = false;
-  /// Look-ahead window the scheduler used to classify bursts as imminent.
-  double horizon_seconds = 0.0;
-  /// Predicted bursts of currently computing jobs, sorted by job id.
-  std::vector<PredictedBurst> upcoming;
-  /// Aggregate demand rate of bursts due within the horizon (GB/s).
-  double imminent_rate_gbps = 0.0;
-  /// Aggregate volume of bursts due within the horizon (GB).
-  double imminent_volume_gb = 0.0;
-};
-
 /// Everything the framework observes for the policy, refreshed once per
 /// scheduling cycle before Assign. A policy reads what it cares about and
 /// ignores the rest, and the defaults keep feature-off runs
@@ -133,8 +103,6 @@ struct PredictionState {
 struct CycleInputs {
   /// Tier snapshot (default = no burst buffer attached).
   TierState tiers;
-  /// Prediction snapshot (default = prediction disabled).
-  PredictionState prediction;
   /// Deferred checkpoint-flush backlog: total parked volume and count
   /// (0 unless flush-aware scheduling is enabled and flushes are parked).
   double flush_backlog_gb = 0.0;
@@ -191,7 +159,6 @@ class IoPolicy {
     return inputs_ != nullptr ? *inputs_ : NoInputs();
   }
   const TierState& tiers() const { return inputs().tiers; }
-  const PredictionState& prediction() const { return inputs().prediction; }
   double flush_backlog_gb() const { return inputs().flush_backlog_gb; }
   std::size_t flush_backlog_count() const {
     return inputs().flush_backlog_count;

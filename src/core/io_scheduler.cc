@@ -52,7 +52,7 @@ JobContext& MustFind(JobStore& jobs, workload::JobId id) {
 
 void IoScheduler::RegisterJob(const workload::Job& job,
                               sim::SimTime start_time) {
-  jobs_.Add(job.id, JobContext{&job, start_time, 0.0, 0.0, start_time});
+  jobs_.Add(job.id, JobContext{&job, start_time, 0.0, 0.0});
 }
 
 void IoScheduler::UnregisterJob(workload::JobId id) {
@@ -401,7 +401,7 @@ void IoScheduler::Reschedule(sim::SimTime now) {
       drain_event_time_ = wake;
     }
   }
-  RefreshCycleInputs(now);
+  RefreshCycleInputs();
 
   FillViews(views_scratch_);
   const std::vector<IoJobView>& views = views_scratch_;
@@ -505,7 +505,7 @@ void IoScheduler::Reschedule(sim::SimTime now) {
   }
 }
 
-void IoScheduler::RefreshCycleInputs(sim::SimTime now) {
+void IoScheduler::RefreshCycleInputs() {
   if (burst_buffer_ != nullptr) {
     // Tier snapshot for tier-aware policies (the buffer was already settled
     // to `now` by the caller).
@@ -517,9 +517,6 @@ void IoScheduler::RefreshCycleInputs(sim::SimTime now) {
     tiers.bb_congested = burst_buffer_->Congested();
     tiers.bb_faulted = burst_buffer_->faulted();
     tiers.drain_factor = burst_buffer_->drain_factor();
-  }
-  if (prediction_config_.enabled) {
-    BuildPredictionState(now);
   }
   if (flush_config_.enabled) {
     cycle_inputs_.flush_backlog_gb = deferred_backlog_gb_;
@@ -545,7 +542,6 @@ std::function<void()> IoScheduler::AbsorbedAction(workload::JobId id) {
     absorbed_events_.erase(it);
     JobContext& ctx = MustFind(jobs_, id);
     ctx.completed_io_seconds += duration;
-    ctx.last_io_end_time = simulator_.Now();
     on_complete_(id, simulator_.Now(), info);
   };
 }
@@ -570,83 +566,6 @@ void IoScheduler::SetRetryConfig(const TransferRetryConfig& config) {
   }
   retry_config_ = config;
   jitter_rng_ = util::Rng(config.jitter_seed, /*stream=*/31);
-}
-
-void IoScheduler::ConfigurePrediction(const PredictionConfig& config) {
-  prediction_config_ = config;
-  predictor_.reset();
-  if (config.enabled && config.mode == "learned") {
-    IoBehaviorPredictor::Options opts;
-    opts.alpha = config.alpha;
-    opts.min_support = config.min_support;
-    opts.node_bandwidth_gbps = node_bandwidth_gbps_;
-    predictor_ = std::make_unique<IoBehaviorPredictor>(opts);
-  }
-}
-
-void IoScheduler::ObserveCompletion(workload::JobId id) {
-  if (predictor_ == nullptr) return;
-  const JobContext* ctx = jobs_.Find(id);
-  if (ctx == nullptr || ctx->job == nullptr) return;
-  predictor_->Observe(*ctx->job);
-}
-
-IoPrediction IoScheduler::PredictFor(const workload::Job& job) const {
-  if (prediction_config_.mode == "oracle") {
-    IoPrediction p;
-    p.io_fraction = job.IoFraction(node_bandwidth_gbps_);
-    p.io_phases = static_cast<double>(job.IoPhaseCount());
-    p.io_efficiency = job.io_efficiency;
-    p.support = 1;
-    return p;
-  }
-  if (predictor_ != nullptr) return predictor_->Predict(job);
-  return IoPrediction{};  // null mode: never a signal
-}
-
-void IoScheduler::BuildPredictionState(sim::SimTime now) {
-  PredictionState& ps = cycle_inputs_.prediction;
-  ps.enabled = true;
-  ps.horizon_seconds = prediction_config_.horizon_seconds;
-  ps.upcoming.clear();
-  ps.imminent_rate_gbps = 0.0;
-  ps.imminent_volume_gb = 0.0;
-  jobs_.SortedIds(ids_scratch_);
-  for (workload::JobId id : ids_scratch_) {
-    // Only jobs currently computing have a next burst to forecast: a job
-    // with an in-flight, absorbed, or backoff-pending request is already in
-    // I/O — it is the policy's Assign input, not a prediction.
-    if (storage_.Has(id) || absorbed_events_.count(id) != 0 ||
-        pending_retries_.count(id) != 0) {
-      continue;
-    }
-    const JobContext& ctx = *jobs_.Find(id);
-    const workload::Job& job = *ctx.job;
-    IoPrediction pred = PredictFor(job);
-    // support == 0 means "no signal", never "I/O-free": an unseen-project
-    // job must be scheduled exactly as the non-predictive path would.
-    if (pred.support == 0 || pred.io_fraction <= 0.0) continue;
-    double efficiency = std::clamp(pred.io_efficiency, 0.0, 1.0);
-    double rate = node_bandwidth_gbps_ * job.nodes * efficiency;
-    if (rate <= 0.0) continue;
-    // Model the predicted behaviour as `phases` evenly spaced bursts over
-    // the requested walltime: each burst moves an equal share of the
-    // predicted I/O time at `rate`, separated by equal compute gaps. The
-    // ETA counts down from the end of the job's last burst (its start for
-    // the first one).
-    double phases = std::max(pred.io_phases, 1.0);
-    double walltime = std::max(job.requested_walltime, 1.0);
-    double fraction = std::min(pred.io_fraction, 1.0);
-    double volume = fraction * walltime * rate / phases;
-    double gap = (1.0 - fraction) * walltime / phases;
-    double elapsed = now - std::max(ctx.start_time, ctx.last_io_end_time);
-    double eta = std::max(0.0, gap - std::max(elapsed, 0.0));
-    ps.upcoming.push_back(PredictedBurst{id, eta, rate, volume, pred.support});
-    if (eta <= ps.horizon_seconds) {
-      ps.imminent_rate_gbps += rate;
-      ps.imminent_volume_gb += volume;
-    }
-  }
 }
 
 double IoScheduler::BackoffDelay(int retries) {
@@ -771,19 +690,6 @@ void SaveCycleInputs(ckpt::Writer& w, const CycleInputs& in) {
   w.Bool(t.bb_congested);
   w.Bool(t.bb_faulted);
   w.F64(t.drain_factor);
-  const PredictionState& p = in.prediction;
-  w.Bool(p.enabled);
-  w.F64(p.horizon_seconds);
-  w.U32(static_cast<std::uint32_t>(p.upcoming.size()));
-  for (const PredictedBurst& b : p.upcoming) {
-    w.I64(b.id);
-    w.F64(b.eta_seconds);
-    w.F64(b.rate_gbps);
-    w.F64(b.volume_gb);
-    w.U64(b.support);
-  }
-  w.F64(p.imminent_rate_gbps);
-  w.F64(p.imminent_volume_gb);
   w.F64(in.flush_backlog_gb);
   w.U64(in.flush_backlog_count);
 }
@@ -798,19 +704,6 @@ CycleInputs RestoreCycleInputs(ckpt::Reader& r) {
   t.bb_congested = r.Bool();
   t.bb_faulted = r.Bool();
   t.drain_factor = r.F64();
-  PredictionState& p = in.prediction;
-  p.enabled = r.Bool();
-  p.horizon_seconds = r.F64();
-  p.upcoming.resize(r.U32());
-  for (PredictedBurst& b : p.upcoming) {
-    b.id = r.I64();
-    b.eta_seconds = r.F64();
-    b.rate_gbps = r.F64();
-    b.volume_gb = r.F64();
-    b.support = static_cast<std::size_t>(r.U64());
-  }
-  p.imminent_rate_gbps = r.F64();
-  p.imminent_volume_gb = r.F64();
   in.flush_backlog_gb = r.F64();
   in.flush_backlog_count = static_cast<std::size_t>(r.U64());
   return in;
@@ -894,20 +787,6 @@ void IoScheduler::SaveState(ckpt::Writer& w) const {
   w.U64(transfer_retries_);
   w.U64(straggler_spills_);
   w.U64(reflushed_requests_);
-  // Prediction state (appended so the layout above is unchanged, and only
-  // when prediction is on, so prediction-off checkpoints stay byte-stable):
-  // the per-job burst-ETA anchors plus, in learned mode, the predictor's
-  // EWMA tables.
-  w.Bool(prediction_config_.enabled);
-  if (prediction_config_.enabled) {
-    ids.clear();
-    jobs_.SortedIds(ids);
-    for (workload::JobId id : ids) {
-      w.F64(jobs_.Find(id)->last_io_end_time);
-    }
-    w.Bool(predictor_ != nullptr);
-    if (predictor_ != nullptr) predictor_->SaveState(w);
-  }
   // Deferred-flush state (appended, gated on the feature so checkpoint
   // streams from flush-unaware runs stay byte-stable).
   w.Bool(flush_config_.enabled);
@@ -949,8 +828,6 @@ void IoScheduler::RestoreState(
     ctx.start_time = r.F64();
     ctx.completed_compute_seconds = r.F64();
     ctx.completed_io_seconds = r.F64();
-    // Overwritten from the appended prediction section when present.
-    ctx.last_io_end_time = ctx.start_time;
     jobs_.Add(id, ctx);
   }
   has_pending_event_ = r.Bool();
@@ -1018,21 +895,6 @@ void IoScheduler::RestoreState(
   transfer_retries_ = r.U64();
   straggler_spills_ = r.U64();
   reflushed_requests_ = r.U64();
-  if (r.Bool()) {
-    std::vector<workload::JobId> sorted;
-    jobs_.SortedIds(sorted);
-    for (workload::JobId id : sorted) {
-      jobs_.Find(id)->last_io_end_time = r.F64();
-    }
-    if (r.Bool()) {
-      if (predictor_ == nullptr) {
-        throw std::runtime_error(
-            "IoScheduler::RestoreState: checkpoint carries learned-predictor "
-            "state but prediction is not configured in learned mode");
-      }
-      predictor_->RestoreState(r);
-    }
-  }
   if (r.Bool()) {
     std::uint32_t deferred = r.U32();
     for (std::uint32_t i = 0; i < deferred; ++i) {
@@ -1111,7 +973,6 @@ void IoScheduler::OnCompletionEvent() {
     storage::Transfer t = storage_.End(id);
     JobContext& ctx = MustFind(jobs_, id);
     ctx.completed_io_seconds += t.volume_gb / t.full_rate_gbps;
-    ctx.last_io_end_time = now;
     auto deadline = deadline_events_.find(id);
     if (deadline != deadline_events_.end()) {
       simulator_.Cancel(deadline->second.event);

@@ -20,7 +20,6 @@
 #include "ckpt/serializer.h"
 #include "core/io_policy.h"
 #include "core/job_store.h"
-#include "core/predictor.h"
 #include "metrics/bandwidth.h"
 #include "sim/simulator.h"
 #include "storage/backend.h"
@@ -215,22 +214,6 @@ class IoScheduler {
     }
   }
 
-  /// Enable prediction-driven scheduling (call before the run starts).
-  /// In "learned" mode an IoBehaviorPredictor is trained online from
-  /// completed jobs (ObserveCompletion); "oracle" reads each job's exact
-  /// profile from the trace; "null" never produces a signal. While enabled,
-  /// every scheduling cycle delivers a PredictionState to the policy before
-  /// Assign. When disabled (the default) no predictor exists, no per-cycle
-  /// work happens, and results are bit-identical to a prediction-free build.
-  void ConfigurePrediction(const PredictionConfig& config);
-
-  /// Feed a job that ran to normal completion to the learned predictor.
-  /// Call before UnregisterJob. No-op unless learned prediction is enabled.
-  void ObserveCompletion(workload::JobId id);
-
-  /// The learned predictor, or nullptr when not in learned mode (tests).
-  const IoBehaviorPredictor* predictor() const { return predictor_.get(); }
-
   /// Install the seeded per-transfer straggler draw (fault injection): the
   /// callback returns the effective-rate multiplier for the next direct
   /// submission (1.0 = nominal). Null detaches — with no draw installed,
@@ -279,20 +262,10 @@ class IoScheduler {
   /// Refill `views` (cleared first) with the policy view of the active set.
   void FillViews(std::vector<IoJobView>& views) const;
 
-  /// Rebuild cycle_inputs_.prediction for the current cycle: one
-  /// PredictedBurst per computing job with a usable (support > 0)
-  /// prediction, plus the imminent aggregates over the configured horizon.
-  void BuildPredictionState(sim::SimTime now);
-
-  /// Refresh cycle_inputs_ for this cycle at the same points the old
-  /// per-cycle observer hooks delivered: tiers while a buffer is attached,
-  /// prediction while enabled, flush backlog while flush-aware scheduling
-  /// is on. Fields of disabled features keep their defaults.
-  void RefreshCycleInputs(sim::SimTime now);
-
-  /// The mode's prediction for `job`: learned predictor, exact trace
-  /// profile (oracle), or the support-0 default (null).
-  IoPrediction PredictFor(const workload::Job& job) const;
+  /// Refresh cycle_inputs_ for this cycle: tiers while a buffer is
+  /// attached, flush backlog while flush-aware scheduling is on. Fields of
+  /// disabled features keep their defaults.
+  void RefreshCycleInputs();
 
   /// Completion event handler: finish every complete transfer, then cycle.
   void OnCompletionEvent();
@@ -419,11 +392,6 @@ class IoScheduler {
   /// Burst-buffer-tier congestion episode (occupancy above the watermark).
   bool bb_congested_ = false;
   sim::SimTime bb_congestion_start_ = 0.0;
-  /// Prediction-driven scheduling (off by default). The predictor only
-  /// exists in learned mode; the per-cycle PredictionState is rebuilt from
-  /// scratch each cycle.
-  PredictionConfig prediction_config_;
-  std::unique_ptr<IoBehaviorPredictor> predictor_;
   /// Per-cycle policy observations, bound to the policy once at
   /// construction. Between cycles it holds the previous cycle's snapshot,
   /// which DeferFlush reads, so it is checkpointed whole.
@@ -432,7 +400,6 @@ class IoScheduler {
   /// of a month-long replay; cleared each use).
   std::vector<IoJobView> views_scratch_;
   std::vector<workload::JobId> done_scratch_;
-  std::vector<workload::JobId> ids_scratch_;
 };
 
 }  // namespace iosched::core

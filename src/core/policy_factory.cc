@@ -5,7 +5,6 @@
 #include "core/adaptive_policy.h"
 #include "core/baseline_policy.h"
 #include "core/conservative_policy.h"
-#include "core/predictive_policy.h"
 #include "util/strings.h"
 
 namespace iosched::core {
@@ -43,11 +42,7 @@ std::span<const PolicyEntry> PolicyRegistry() {
       {"MIN_AGGR_SLD", {"cons_minaggrsld"},
        Make<ConservativePolicy, Order::kMinAggrSld>},
       {"ADAPTIVE", {}, Make<AdaptivePolicy>},
-      {"PREDICTIVE", {"cons_predictive"}, Make<PredictivePolicy>},
-      {"PREDICTIVE_ADAPTIVE", {"predictive-adaptive"},
-       Make<AdaptivePolicy, /*predictive=*/true>},
       {"BASE_LINE_MAXMIN", {"maxmin"}, Make<MaxMinPolicy>},
-      {"SJF", {}, Make<ConservativePolicy, Order::kShortestFirst>},
       {"WSJF", {"smith"}, Make<ConservativePolicy, Order::kSmithRule>},
   };
   return kRegistry;

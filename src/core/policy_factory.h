@@ -23,15 +23,14 @@ struct PolicyEntry {
 };
 
 /// Every policy the factory builds: the paper's figure names, then the
-/// extensions without a paper series (prediction-aware, max-min baseline,
-/// shortest-job orders). Sweeps, the chaos soak and the figures iterate in
+/// extensions without a paper series (max-min baseline, Smith's-rule
+/// order). Sweeps, the chaos soak and the figures iterate in
 /// this order.
 std::span<const PolicyEntry> PolicyRegistry();
 
 /// The registry's names, in registry order:
 /// {"BASE_LINE", "FCFS", "MAX_UTIL", "MIN_INST_SLD", "MIN_AGGR_SLD",
-///  "ADAPTIVE", "PREDICTIVE", "PREDICTIVE_ADAPTIVE", "BASE_LINE_MAXMIN",
-///  "SJF", "WSJF"}.
+///  "ADAPTIVE", "BASE_LINE_MAXMIN", "WSJF"}.
 const std::vector<std::string>& AllPolicyNames();
 
 /// True when `name` (case-insensitive, including aliases) names a policy

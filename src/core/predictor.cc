@@ -1,11 +1,7 @@
 #include "core/predictor.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
-
-#include "ckpt/serializer.h"
 
 namespace iosched::core {
 namespace {
@@ -108,53 +104,6 @@ IoPrediction IoBehaviorPredictor::Predict(const workload::Job& job) const {
     prediction.support = global_.count;
   }
   return prediction;
-}
-
-void IoBehaviorPredictor::SaveState(ckpt::Writer& writer) const {
-  auto save_ewma = [&writer](const Ewma& e) {
-    writer.F64(e.io_fraction);
-    writer.F64(e.io_phases);
-    writer.F64(e.io_efficiency);
-    writer.U64(e.count);
-  };
-  save_ewma(global_);
-  auto save_table =
-      [&](const std::unordered_map<std::string, Ewma>& table) {
-        std::vector<const std::string*> keys;
-        keys.reserve(table.size());
-        for (const auto& [key, value] : table) keys.push_back(&key);
-        std::sort(keys.begin(), keys.end(),
-                  [](const std::string* a, const std::string* b) {
-                    return *a < *b;
-                  });
-        writer.U64(table.size());
-        for (const std::string* key : keys) {
-          writer.Str(*key);
-          save_ewma(table.at(*key));
-        }
-      };
-  save_table(by_project_);
-  save_table(by_user_);
-}
-
-void IoBehaviorPredictor::RestoreState(ckpt::Reader& reader) {
-  auto load_ewma = [&reader](Ewma& e) {
-    e.io_fraction = reader.F64();
-    e.io_phases = reader.F64();
-    e.io_efficiency = reader.F64();
-    e.count = static_cast<std::size_t>(reader.U64());
-  };
-  load_ewma(global_);
-  auto load_table = [&](std::unordered_map<std::string, Ewma>& table) {
-    table.clear();
-    std::uint64_t n = reader.U64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::string key = reader.Str();
-      load_ewma(table[key]);
-    }
-  };
-  load_table(by_project_);
-  load_table(by_user_);
 }
 
 double EvaluateFractionError(const IoBehaviorPredictor& predictor,

@@ -22,11 +22,6 @@
 
 #include "workload/workload.h"
 
-namespace iosched::ckpt {
-class Reader;
-class Writer;
-}  // namespace iosched::ckpt
-
 namespace iosched::core {
 
 struct IoPrediction {
@@ -40,26 +35,6 @@ struct IoPrediction {
   /// "no signal at all" (the predictor has never observed a job); consumers
   /// must treat that as absence of a prediction, not as an I/O-free job.
   std::size_t support = 0;
-};
-
-/// Prediction-driven scheduling knobs (SimulationConfig::prediction and the
-/// `[prediction]` INI section / `--predict*` CLI flags).
-struct PredictionConfig {
-  /// Master switch: when false the scheduler builds no predictions, calls
-  /// no predictor, and replay digests are bit-identical to a prediction-free
-  /// build.
-  bool enabled = false;
-  /// "learned" (online EWMA predictor fed by completed jobs), "oracle"
-  /// (exact per-job profile read from the trace; upper-bounds the value of
-  /// prediction), or "null" (always no-signal; lower bound).
-  std::string mode = "learned";
-  /// EWMA smoothing factor for the learned mode, in (0, 1].
-  double alpha = 0.25;
-  /// Observations before a provenance level fully overrides its fallback.
-  std::size_t min_support = 3;
-  /// Look-ahead window: a burst predicted to start within this many seconds
-  /// counts as imminent for headroom reservation / storm deferral.
-  double horizon_seconds = 300.0;
 };
 
 class IoBehaviorPredictor {
@@ -90,12 +65,6 @@ class IoBehaviorPredictor {
   std::size_t observed_jobs() const { return global_.count; }
   std::size_t known_projects() const { return by_project_.size(); }
   std::size_t known_users() const { return by_user_.size(); }
-
-  /// Checkpoint the learned state (EWMA tables, deterministic key order).
-  /// Options are not serialized: they are config-derived, and the owner
-  /// reconstructs the predictor from config before calling RestoreState.
-  void SaveState(ckpt::Writer& writer) const;
-  void RestoreState(ckpt::Reader& reader);
 
  private:
   struct Ewma {

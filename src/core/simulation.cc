@@ -122,7 +122,6 @@ class Engine {
         base_bwmax_(config.storage.max_bandwidth_gbps) {
     burst_buffer_ = backend_->burst_buffer();
     io_scheduler_.SetRetryConfig(config.transfer_retry);
-    io_scheduler_.ConfigurePrediction(config.prediction);
     io_scheduler_.ConfigureFlushScheduling(config.app_checkpoint);
     if (config_.track_bandwidth) {
       io_scheduler_.SetBandwidthTracker(&bandwidth_tracker_);
@@ -694,9 +693,6 @@ class Engine {
     ExecState state = running_.at(id);
     running_.erase(id);
     if (state.has_kill_event) simulator_.Cancel(state.kill_event);
-    // Only jobs that ran to normal completion train the predictor: a
-    // walltime-killed job's observed phases misrepresent its behaviour.
-    if (!killed) io_scheduler_.ObserveCompletion(id);
     io_scheduler_.UnregisterJob(id);
     if (injector_.has_value()) injector_->OnJobStop(id);
     batch_.OnJobEnd(id, now);
@@ -1386,18 +1382,6 @@ std::vector<ConfigIssue> SimulationConfig::Validate() const {
         "engine must track flush durability to know where to restart)");
   }
 
-  if (prediction.mode != "learned" && prediction.mode != "oracle" &&
-      prediction.mode != "null") {
-    add("prediction.mode",
-        "unknown mode \"" + prediction.mode +
-            "\" (known: learned, oracle, null)");
-  }
-  if (prediction.alpha <= 0 || prediction.alpha > 1) {
-    add("prediction.alpha", "must be in (0, 1]");
-  }
-  if (prediction.horizon_seconds <= 0) {
-    add("prediction.horizon_seconds", "must be positive");
-  }
   if (check_invariants && invariant_check_every_events == 0) {
     add("invariant_check_every_events",
         "must be positive when check_invariants is set");
@@ -1545,13 +1529,6 @@ std::uint64_t SimulationConfigHash(const SimulationConfig& config,
   // schedule, and the enabled flag changes the checkpoint layout.
   h = FnvMix(h, static_cast<std::uint64_t>(config.app_checkpoint.enabled));
   h = FnvMix(h, config.app_checkpoint.max_defer_seconds);
-  // Prediction: shapes both the schedule (prediction-aware policies) and
-  // the checkpoint layout (predictor state section).
-  h = FnvMix(h, static_cast<std::uint64_t>(config.prediction.enabled));
-  h = MixStr(h, config.prediction.mode);
-  h = FnvMix(h, config.prediction.alpha);
-  h = FnvMix(h, static_cast<std::uint64_t>(config.prediction.min_support));
-  h = FnvMix(h, config.prediction.horizon_seconds);
   // check_invariants is deliberately excluded: the checker is read-only.
   // Policy + engine switches that shape the schedule.
   h = MixStr(h, config.policy);

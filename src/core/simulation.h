@@ -125,13 +125,6 @@ struct SimulationConfig {
   /// RestartMode::kRestartFromAppCheckpoint can requeue a failed job owing
   /// only the compute since its last fully drained flush.
   FlushDeferralConfig app_checkpoint;
-  /// Prediction-driven scheduling (disabled by default — the scheduler then
-  /// builds no predictions and results are bit-identical to a
-  /// prediction-free build). In "learned" mode the engine feeds every
-  /// normally completed job to the predictor; "oracle"/"null" bound the
-  /// value of prediction from above/below. Consumed by the PREDICTIVE and
-  /// PREDICTIVE_ADAPTIVE policies; other policies ignore the snapshots.
-  PredictionConfig prediction;
   /// Run the from-scratch InvariantChecker alongside the simulation: every
   /// `invariant_check_every_events` events (and once after the queue
   /// drains) all incremental aggregates are recomputed and any mismatch
@@ -218,10 +211,6 @@ class SimulationConfig::Builder {
   }
   Builder& AppCheckpoint(FlushDeferralConfig app_checkpoint) {
     config_.app_checkpoint = app_checkpoint;
-    return *this;
-  }
-  Builder& Prediction(PredictionConfig prediction) {
-    config_.prediction = std::move(prediction);
     return *this;
   }
   Builder& CheckInvariants(bool on, std::uint64_t every_events = 64) {

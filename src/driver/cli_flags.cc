@@ -33,17 +33,6 @@ void AddBurstBufferFlags(util::CliParser& cli) {
               "occupancy fraction above which the buffer reports congestion");
 }
 
-void AddPredictionFlags(util::CliParser& cli) {
-  cli.AddFlag("predict", "off",
-              "I/O behaviour prediction mode: off, learned, oracle, or null");
-  cli.AddFlag("predict-alpha", "0.25",
-              "EWMA smoothing factor for the learned predictor");
-  cli.AddFlag("predict-min-support", "3",
-              "observations before a user/project level is fully trusted");
-  cli.AddFlag("predict-horizon", "300",
-              "lookahead window in seconds for imminent-burst aggregation");
-}
-
 void AddAppCheckpointFlags(util::CliParser& cli) {
   cli.AddFlag("app-ckpt-mtbf", "0",
               "application MTBF in seconds; a positive value enables "
@@ -126,28 +115,22 @@ void ApplyBurstBufferFlags(const util::CliParser& cli,
   }
 }
 
-void ApplyPredictionFlags(const util::CliParser& cli,
-                          core::SimulationConfig& config) {
-  core::PredictionConfig& pred = config.prediction;
-  if (cli.Provided("predict")) {
-    std::string mode = cli.GetString("predict");
-    if (mode == "off") {
-      pred.enabled = false;
-    } else {
-      pred.enabled = true;
-      pred.mode = mode;  // Validate() rejects unknown modes.
-    }
-  }
-  if (cli.Provided("predict-alpha")) {
-    pred.alpha = cli.GetDouble("predict-alpha");
-  }
-  if (cli.Provided("predict-min-support")) {
-    pred.min_support = static_cast<std::size_t>(
-        cli.GetInt("predict-min-support"));
-  }
-  if (cli.Provided("predict-horizon")) {
-    pred.horizon_seconds = cli.GetDouble("predict-horizon");
-  }
+ScenarioFactory ReplicationFactoryFromFlags(const util::CliParser& cli) {
+  ScenarioFactory month = EvaluationMonthFactory(
+      static_cast<int>(cli.GetInt("workload")), cli.GetDouble("days"));
+  // Resolve the flags once: the factory runs on pool threads, after the
+  // parser may be gone. The built-in months attach no buffer, so overlaying
+  // the flags on a default config equals overlaying them on each seed's.
+  core::SimulationConfig flags;
+  flags.storage.max_bandwidth_gbps = cli.GetDouble("bwmax");
+  ApplyBurstBufferFlags(cli, flags);
+  return [month = std::move(month), flags](std::uint64_t seed) {
+    Scenario scenario = month(seed);
+    scenario.config.storage.max_bandwidth_gbps =
+        flags.storage.max_bandwidth_gbps;
+    scenario.config.burst_buffer = flags.burst_buffer;
+    return scenario;
+  };
 }
 
 void ApplyAppCheckpointFlags(const util::CliParser& cli, Scenario& scenario) {

@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "core/simulation.h"
+#include "driver/replication.h"
 #include "driver/scenario.h"
 #include "util/cli.h"
 
@@ -23,11 +24,6 @@ void AddScenarioFlags(util::CliParser& cli);
 /// Declare the burst-buffer flags ApplyBurstBufferFlags reads:
 /// --bb-capacity, --bb-drain, --bb-absorb, --bb-quota, --bb-watermark.
 void AddBurstBufferFlags(util::CliParser& cli);
-
-/// Declare the prediction flags ApplyPredictionFlags reads:
-/// --predict (off|learned|oracle|null), --predict-alpha,
-/// --predict-min-support, --predict-horizon.
-void AddPredictionFlags(util::CliParser& cli);
 
 /// Declare the application-checkpoint flags ApplyAppCheckpointFlags reads:
 /// --app-ckpt-mtbf (0 = off), --app-ckpt-defer, --app-ckpt-min-interval,
@@ -53,11 +49,11 @@ Scenario ScenarioFromFlags(const util::CliParser& cli);
 void ApplyBurstBufferFlags(const util::CliParser& cli,
                            core::SimulationConfig& config);
 
-/// Overlay the prediction flags onto `config`. --predict off disables the
-/// subsystem (the default); any other mode enables it. The tuning flags
-/// override their fields only when explicitly provided.
-void ApplyPredictionFlags(const util::CliParser& cli,
-                          core::SimulationConfig& config);
+/// The seeded scenario factory `replications` runs: the built-in --workload
+/// month of --days for each seed, with the --bwmax cap and the burst-buffer
+/// flags applied to every seed's scenario exactly as `simulate` applies
+/// them to its one scenario.
+ScenarioFactory ReplicationFactoryFromFlags(const util::CliParser& cli);
 
 /// Overlay the app-checkpoint flags onto `scenario`. A positive
 /// --app-ckpt-mtbf enables the whole resilience stack in one step: the

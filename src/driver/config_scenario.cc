@@ -24,10 +24,9 @@ double RequirePositive(const util::Config& config, const std::string& key,
 
 /// Every section ScenarioFromConfig reads.
 constexpr std::string_view kSections[] = {
-    "machine",    "storage",        "burst_buffer",   "batch",
-    "faults",     "app_checkpoint", "transfer_retry", "prediction",
-    "simulation", "obs",            "checkpoint",     "policy",
-    "workload"};
+    "machine",        "storage",        "burst_buffer", "batch",
+    "faults",         "app_checkpoint", "transfer_retry", "simulation",
+    "obs",            "checkpoint",     "policy",       "workload"};
 
 /// A key outside the sections above would be silently ignored, so a stale
 /// block or a misspelled section header fails loudly instead.
@@ -169,22 +168,6 @@ Scenario ScenarioFromConfig(const util::Config& config) {
         config.GetDoubleOr("transfer_retry.backoff_jitter_fraction", 0.0);
     tr.jitter_seed = static_cast<std::uint64_t>(
         config.GetIntOr("transfer_retry.jitter_seed", 1));
-  }
-
-  // I/O behaviour prediction (off unless [prediction] enabled=true).
-  {
-    core::PredictionConfig& pred = scenario.config.prediction;
-    pred.enabled = config.GetBoolOr("prediction.enabled", false);
-    pred.mode = config.GetStringOr("prediction.mode", "learned");
-    pred.alpha = config.GetDoubleOr("prediction.alpha", 0.25);
-    long long min_support = config.GetIntOr("prediction.min_support", 3);
-    if (min_support < 0) {
-      throw std::runtime_error(
-          "config: 'prediction.min_support' must be >= 0");
-    }
-    pred.min_support = static_cast<std::size_t>(min_support);
-    pred.horizon_seconds =
-        config.GetDoubleOr("prediction.horizon_seconds", 300.0);
   }
 
   // Invariant checking (read-only; never changes records or digests).

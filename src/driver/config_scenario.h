@@ -3,9 +3,8 @@
 // checked-in config instead of code edits.
 //
 // Recognized keys (all optional; defaults in parentheses). A key in any
-// other section is rejected with an error naming it. The [app_checkpoint],
-// [transfer_retry] and [prediction] keys are documented in
-// configs/example.ini.
+// other section is rejected with an error naming it. The [app_checkpoint]
+// and [transfer_retry] keys are documented in configs/example.ini.
 //
 //   [machine]
 //   preset = mira | intrepid | small (mira)
@@ -19,7 +18,8 @@
 //   easy_backfill = <bool>           (true)
 //
 //   [policy]
-//   name = BASE_LINE | ... | ADAPTIVE | ... | WSJF (BASE_LINE)
+//   name = BASE_LINE | FCFS | MAX_UTIL | MIN_INST_SLD | MIN_AGGR_SLD |
+//          ADAPTIVE | BASE_LINE_MAXMIN | WSJF (BASE_LINE)
 //
 //   [burst_buffer]
 //   capacity_gb = <double>           (0 = disabled)

@@ -371,7 +371,6 @@ TEST(PolicyFactory, CaseInsensitiveAndAliases) {
 }
 
 TEST(PolicyFactory, BuildsExtensionPolicies) {
-  EXPECT_EQ(MakePolicy("SJF")->name(), "SJF");
   EXPECT_EQ(MakePolicy("WSJF")->name(), "WSJF");
   EXPECT_EQ(MakePolicy("BASE_LINE_MAXMIN")->name(), "BASE_LINE_MAXMIN");
 }
@@ -390,22 +389,12 @@ TEST(PolicyFactory, ListsEveryBuildablePolicy) {
     }
   }
   EXPECT_EQ(listed, AllPolicyNames());
-  EXPECT_EQ(listed.size(), 11u);
+  EXPECT_EQ(listed.size(), 8u);
 }
 
 TEST(PolicyFactory, UnknownThrows) {
   EXPECT_THROW(MakePolicy("round_robin"), std::invalid_argument);
   EXPECT_THROW(MakePolicy(""), std::invalid_argument);
-}
-
-TEST(ConsExtensions, SjfPrefersShortTransfer) {
-  ConservativePolicy p(ConservativeOrder::kShortestFirst);
-  // Both demand 128 (only one fits); job 2 has far less remaining.
-  std::vector<IoJobView> active = {MakeView(1, 4096, 10000, 0),
-                                   MakeView(2, 4096, 100, 1)};
-  auto m = AsMap(p.Assign(active, kBwMax, 10));
-  EXPECT_DOUBLE_EQ(m[2], 128.0);
-  EXPECT_DOUBLE_EQ(m[1], 0.0);
 }
 
 TEST(ConsExtensions, WsjfWeighsNodesAgainstTime) {
@@ -501,16 +490,12 @@ TEST_P(AssignIdentity, BoundOnceEqualsFreshPolicyOnRandomSets) {
       v.completed_compute_seconds = static_cast<double>(x % 500);
       active.push_back(v);
     }
-    // Odd rounds carry a deep burst-buffer backlog, a parked-flush backlog
-    // and an imminent predicted storm; even rounds are all-default.
+    // Odd rounds carry a deep burst-buffer backlog and a parked-flush
+    // backlog; even rounds are all-default.
     bool loaded = round % 2 == 1;
     live.tiers.bb_enabled = loaded;
     live.tiers.bb_capacity_gb = loaded ? 1000.0 : 0.0;
     live.tiers.bb_queued_gb = loaded ? 900.0 : 0.0;
-    live.prediction.enabled = loaded;
-    live.prediction.horizon_seconds = loaded ? 300.0 : 0.0;
-    live.prediction.imminent_rate_gbps = loaded ? kBwMax : 0.0;
-    live.prediction.imminent_volume_gb = loaded ? 300.0 * kBwMax : 0.0;
     live.flush_backlog_gb = loaded ? 1e5 : 0.0;
     live.flush_backlog_count = loaded ? 3 : 0;
     double now = 100.0 + 10.0 * round;

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "ckpt/serializer.h"
+#include "driver/scenario.h"
 #include "workload/synthetic.h"
 
 namespace iosched::core {
@@ -197,45 +197,28 @@ TEST(Predictor, PrequentialIsHonestWhereInSampleIsNot) {
   EXPECT_NEAR(in_sample, 0.0, 1e-12);
 }
 
-TEST(Predictor, CheckpointRoundTripPreservesPredictions) {
-  workload::SyntheticConfig cfg = workload::EvaluationMonthConfig(1);
-  cfg.duration_days = 3.0;
-  workload::Workload jobs = workload::GenerateWorkload(cfg, 77007);
-  ASSERT_GT(jobs.size(), 100u);
+TEST(Predictor, LearnedMaeLandsBetweenOracleAndNullOnEvaluationMonth) {
+  // The accuracy table of bench/fig_prediction: on the WL1 30-day month the
+  // learned prequential MAE must sit strictly between the oracle (0, the
+  // job's own profile) and the null predictor (always io_fraction 0).
+  driver::Scenario month = driver::MakeEvaluationScenario(1, 30.0);
+  const workload::Workload& jobs = month.jobs;
+  double node_bw = month.config.machine.node_bandwidth_gbps;
+  ASSERT_GT(jobs.size(), 1000u);
+  double null_total = 0.0;
+  for (const workload::Job& job : jobs) {
+    null_total += std::abs(job.IoFraction(node_bw));
+  }
+  double null_mae = null_total / static_cast<double>(jobs.size());
 
   IoBehaviorPredictor::Options opts;
-  opts.node_bandwidth_gbps = cfg.node_bandwidth_gbps;
-  IoBehaviorPredictor original(opts);
-  for (std::size_t i = 0; i + 20 < jobs.size(); ++i) original.Observe(jobs[i]);
-
-  ckpt::Writer writer;
-  original.SaveState(writer);
-  ckpt::Reader reader(writer.buffer(), "predictor");
-  IoBehaviorPredictor restored(opts);
-  restored.RestoreState(reader);
-  reader.ExpectEnd();
-
-  EXPECT_EQ(restored.observed_jobs(), original.observed_jobs());
-  EXPECT_EQ(restored.known_projects(), original.known_projects());
-  EXPECT_EQ(restored.known_users(), original.known_users());
-  for (std::size_t i = jobs.size() - 20; i < jobs.size(); ++i) {
-    IoPrediction a = original.Predict(jobs[i]);
-    IoPrediction b = restored.Predict(jobs[i]);
-    EXPECT_EQ(a.io_fraction, b.io_fraction);
-    EXPECT_EQ(a.io_phases, b.io_phases);
-    EXPECT_EQ(a.io_efficiency, b.io_efficiency);
-    EXPECT_EQ(a.support, b.support);
-  }
-  // Continued training diverges identically: observe the tail in both and
-  // predictions must stay bit-equal.
-  for (std::size_t i = jobs.size() - 20; i < jobs.size(); ++i) {
-    original.Observe(jobs[i]);
-    restored.Observe(jobs[i]);
-  }
-  IoPrediction a = original.Predict(jobs.back());
-  IoPrediction b = restored.Predict(jobs.back());
-  EXPECT_EQ(a.io_fraction, b.io_fraction);
-  EXPECT_EQ(a.support, b.support);
+  opts.node_bandwidth_gbps = node_bw;
+  IoBehaviorPredictor predictor(opts);
+  PrequentialResult learned = EvaluatePrequential(predictor, jobs, node_bw);
+  EXPECT_EQ(learned.evaluated, jobs.size());
+  EXPECT_GT(learned.mae_fraction, 0.0);
+  EXPECT_LT(learned.mae_fraction, null_mae)
+      << "learned " << learned.mae_fraction << " vs null " << null_mae;
 }
 
 TEST(Predictor, BeatsGlobalBaselineOnProjectStructuredWorkload) {

@@ -67,18 +67,6 @@ TEST(PriorityOrder, MinAggrSldDescending) {
   EXPECT_EQ(active[order[1]].id, 1);
 }
 
-TEST(PriorityOrder, ShortestFirstByRemainingTime) {
-  std::vector<IoJobView> active = {
-      View(1, 0.0, 2048, 1000.0),                    // 1000/64 = 15.6 s
-      View(2, 1.0, 512, 400.0),                      // 400/16 = 25 s
-      View(3, 2.0, 4096, 640.0, /*transferred=*/600.0)};  // 40/128 = 0.3 s
-  auto order = ConservativePriorityOrder(
-      active, ConservativeOrder::kShortestFirst, 10.0);
-  EXPECT_EQ(active[order[0]].id, 3);
-  EXPECT_EQ(active[order[1]].id, 1);
-  EXPECT_EQ(active[order[2]].id, 2);
-}
-
 TEST(PriorityOrder, SmithRuleByNodesPerSecond) {
   std::vector<IoJobView> active = {
       View(1, 0.0, 512, 16.0),     // 1 s remaining -> 512 nodes/s

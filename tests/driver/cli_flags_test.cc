@@ -75,6 +75,34 @@ TEST(CliFlags, UnprovidedFlagsPreserveAConfiguredBuffer) {
   EXPECT_DOUBLE_EQ(config.burst_buffer.per_job_quota_gb, 100.0);
 }
 
+TEST(CliFlags, ReplicationFactoryAppliesBwmaxAndBufferToEverySeed) {
+  util::CliParser cli =
+      Parse({"--workload", "1", "--days", "0.2", "--bwmax", "100",
+             "--bb-capacity", "4000", "--bb-drain", "50"});
+  ScenarioFactory factory = ReplicationFactoryFromFlags(cli);
+  for (std::uint64_t seed : {101u, 202u}) {
+    Scenario scenario = factory(seed);
+    Scenario plain = EvaluationMonthFactory(1, 0.2)(seed);
+    EXPECT_EQ(scenario.name, plain.name);
+    EXPECT_EQ(scenario.jobs.size(), plain.jobs.size());
+    EXPECT_DOUBLE_EQ(scenario.config.storage.max_bandwidth_gbps, 100.0);
+    EXPECT_TRUE(scenario.config.burst_buffer.enabled());
+    EXPECT_DOUBLE_EQ(scenario.config.burst_buffer.capacity_gb, 4000.0);
+    EXPECT_DOUBLE_EQ(scenario.config.burst_buffer.drain_gbps, 50.0);
+  }
+}
+
+TEST(CliFlags, ReplicationFactoryWithoutFlagsIsTheEvaluationMonth) {
+  util::CliParser cli = Parse({"--workload", "2", "--days", "0.2"});
+  Scenario scenario = ReplicationFactoryFromFlags(cli)(303);
+  Scenario plain = EvaluationMonthFactory(2, 0.2)(303);
+  EXPECT_EQ(scenario.name, plain.name);
+  EXPECT_EQ(scenario.jobs.size(), plain.jobs.size());
+  EXPECT_DOUBLE_EQ(scenario.config.storage.max_bandwidth_gbps,
+                   plain.config.storage.max_bandwidth_gbps);
+  EXPECT_FALSE(scenario.config.burst_buffer.enabled());
+}
+
 TEST(CliFlags, HelpListsTheSharedFlagsOnce) {
   util::CliParser cli("test");
   AddScenarioFlags(cli);

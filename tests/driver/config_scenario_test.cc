@@ -166,10 +166,17 @@ TEST(ConfigScenario, UnknownSectionsAreRejectedByKey) {
     }
     return "";
   };
-  // A stale planning block from older configs.
-  std::string plan = error_for(
-      "[plan]\nwindow_seconds = 600\n[workload]\ndays = 0.1\n");
-  EXPECT_NE(plan.find("'plan.window_seconds'"), std::string::npos) << plan;
+  // Stale blocks from older configs: the planning and prediction sections
+  // left with the policies that read them.
+  for (std::string key :
+       {"plan.window_seconds", "prediction.enabled", "prediction.mode"}) {
+    std::size_t dot = key.find('.');
+    std::string stale = error_for(
+        ("[" + key.substr(0, dot) + "]\n" + key.substr(dot + 1) +
+         " = 1\n[workload]\ndays = 0.1\n")
+            .c_str());
+    EXPECT_NE(stale.find("'" + key + "'"), std::string::npos) << stale;
+  }
   // A misspelled section header.
   std::string typo = error_for(
       "[burstbuffer]\ncapacity_gb = 100\n[workload]\ndays = 0.1\n");

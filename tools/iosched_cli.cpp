@@ -14,8 +14,6 @@
 //   iosched simulate --swf /tmp/wl1.swf --io /tmp/wl1_io.csv --policy ADAPTIVE
 //   iosched simulate --workload 2 --days 14 --policy MIN_AGGR_SLD
 //   iosched simulate --workload 1 --days 30 --bb-capacity 4000  # with a BB
-//   iosched simulate --workload 1 --policy PREDICTIVE_ADAPTIVE \
-//       --predict learned                            # prediction-aware run
 //   iosched sweep --workload 1 --days 30 --csv
 //   iosched sensitivity --workload 1 --factors 0.3,0.7,1.5
 //   iosched bbsweep --workload 1 --days 30 --bb-capacities 0,2000,8000
@@ -94,7 +92,6 @@ int CmdSimulate(const util::CliParser& cli) {
     config.enforce_walltime = cli.GetBool("walltime-kill");
   }
   driver::ApplyBurstBufferFlags(cli, config);
-  driver::ApplyPredictionFlags(cli, config);
 
   config.keep_bandwidth_samples = cli.GetBool("timeline");
   core::EventLog log;
@@ -278,7 +275,6 @@ int CmdSweep(const util::CliParser& cli) {
   driver::Scenario scenario = driver::ScenarioFromFlags(cli);
   driver::ApplyAppCheckpointFlags(cli, scenario);
   driver::ApplyBurstBufferFlags(cli, scenario.config);
-  driver::ApplyPredictionFlags(cli, scenario.config);
   std::vector<std::string> policies = core::AllPolicyNames();
   if (cli.Provided("policies")) {
     policies = util::Split(cli.GetString("policies"), ',');
@@ -392,9 +388,7 @@ int CmdReplications(const util::CliParser& cli) {
   }
   util::ThreadPool pool;
   auto runs = driver::RunReplications(
-      driver::EvaluationMonthFactory(
-          static_cast<int>(cli.GetInt("workload")), cli.GetDouble("days")),
-      seeds, policies, &pool);
+      driver::ReplicationFactoryFromFlags(cli), seeds, policies, &pool);
   std::printf("%s\n", driver::ReplicationTable(runs).ToString().c_str());
   return 0;
 }
@@ -441,7 +435,6 @@ int main(int argc, char** argv) {
       "I/O-aware batch scheduling framework (CLUSTER'15 reproduction)");
   driver::AddScenarioFlags(cli);
   driver::AddBurstBufferFlags(cli);
-  driver::AddPredictionFlags(cli);
   driver::AddAppCheckpointFlags(cli);
   cli.AddFlag("seed", "101", "generator seed (generate)");
   cli.AddFlag("out", "workload", "output path stem (generate)");

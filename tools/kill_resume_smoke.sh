@@ -4,8 +4,7 @@
 # per-job records byte-identical to an uninterrupted reference run.
 #
 # Two victims are exercised:
-#   * a year-long replay under the prediction-aware policy (covers the
-#     learned predictor's checkpoint section), and
+#   * a year-long replay under ADAPTIVE, and
 #   * a checkpoint-storm run — Young/Daly flush traffic, MTBF failures,
 #     restart-from-checkpoint, deferrable flushes, and a burst buffer — so
 #     the kill lands amid parked flushes, staged-but-not-durable markers,
@@ -76,12 +75,8 @@ run_case() {
 }
 
 # A year-long replay runs for several seconds — a wide window to land the
-# kill in — while the first checkpoint appears within milliseconds. The
-# prediction-aware policy with a learned predictor makes the smoke cover
-# the predictor's checkpoint section too: resuming must restore the EWMA
-# tables exactly or the post-resume schedule (and records) diverge.
-run_case year simulate --workload 1 --days 365 --policy PREDICTIVE_ADAPTIVE \
-    --predict learned
+# kill in — while the first checkpoint appears within milliseconds.
+run_case year simulate --workload 1 --days 365 --policy ADAPTIVE
 
 # Mid-storm kill: a short application MTBF arms the full resilience stack
 # (flush phases, failures, restart-from-checkpoint, 10-minute deferrals)
